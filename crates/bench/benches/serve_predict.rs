@@ -71,7 +71,9 @@ fn bench_predict_overhead(c: &mut Criterion) {
             ctx.set_endpoint("predict");
             ctx.note("rows", 16);
             let span = ctx.span("serve/predict/submit");
-            let (predictions, batch) = observed.submit_tagged(black_box(rows16()), Some(ctx.id()));
+            let (predictions, batch) = observed
+                .submit_tagged(black_box(rows16()), Some(ctx.id()))
+                .expect("predict batch");
             span.finish();
             ctx.note("batch.id", batch.batch_id);
             ctx.note("batch.size", batch.size);

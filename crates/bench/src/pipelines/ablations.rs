@@ -4,7 +4,7 @@
 //! The model-dependent ablations share the standard `dataset`/`train`
 //! nodes (and therefore their cache entries) with the figure pipelines;
 //! the cost-model ablations (`noc`, `scheduler`, `dataflow`) are a single
-//! exclusive sweep node feeding csv/report sinks.
+//! sweep node feeding csv/report sinks.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -61,7 +61,6 @@ pub(super) fn build_engines(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String>
                 .param("space", if latent { "latent" } else { "direct" })
                 .param("budget", budget)
                 .param("seeds", seeds)
-                .exclusive()
                 .runs(move |deps| {
                     let dataset = deps[0].as_mem::<Dataset>().ok_or("dataset unavailable")?;
                     let trained = deps[1]
@@ -169,7 +168,6 @@ pub(super) fn build_latent_box(env: &Arc<PipelineEnv>) -> Result<FlowGraph, Stri
                 .param("box", name)
                 .param("budget", budget)
                 .param("seeds", seeds)
-                .exclusive()
                 .runs(move |deps| {
                     let dataset = deps[0].as_mem::<Dataset>().ok_or("dataset unavailable")?;
                     let trained = deps[1]
@@ -293,7 +291,6 @@ pub(super) fn build_finetune(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String
                 .param("seed_index", seed)
                 .param("round", round)
                 .param("finetune_epochs", epochs / 4)
-                .exclusive()
                 .runs(move |deps| {
                     let dataset = deps[0].as_mem::<Dataset>().ok_or("dataset unavailable")?;
                     let trained = deps[1]
@@ -452,7 +449,6 @@ pub(super) fn build_noc(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
     nodes.push(
         NodeSpec::new("sweep", StageKind::Custom("noc".into()))
             .param("n_archs", n_archs)
-            .exclusive()
             .runs(move |_| {
                 let space = vaesa_accel::DesignSpace::paper();
                 let layers = workloads::resnet50();
@@ -566,7 +562,6 @@ pub(super) fn build_scheduler(env: &Arc<PipelineEnv>) -> Result<FlowGraph, Strin
         NodeSpec::new("mappers", StageKind::Custom("mappers".into()))
             .param("n_archs", n_archs)
             .param("n_random_mappings", n_random_mappings)
-            .exclusive()
             .runs(move |_| {
                 let layers = workloads::resnet50();
                 // A plain (uncached) scheduler: this ablation measures the
@@ -677,7 +672,6 @@ pub(super) fn build_dataflow(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String
     nodes.push(
         NodeSpec::new("sweep", StageKind::Custom("dataflow".into()))
             .param("pools", n_pools)
-            .exclusive()
             .runs(move |_| {
                 let scheduler = Scheduler::default();
                 let arch = ArchDescription {

@@ -23,7 +23,6 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
     nodes.push(
         NodeSpec::new("sweep", StageKind::Custom("sweep".into()))
             .param("points", points)
-            .exclusive()
             .runs(move |_| {
                 let scheduler = Scheduler::default();
                 let layers = workloads::resnet50();

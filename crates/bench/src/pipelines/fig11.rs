@@ -73,7 +73,6 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
                 .param("stream_base", w)
                 .param("budget", budget)
                 .param("seeds", seeds)
-                .exclusive()
                 .runs(move |deps| {
                     let dataset = deps[0].as_mem::<Dataset>().ok_or("dataset unavailable")?;
                     let trained = deps[1]
@@ -176,7 +175,6 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
                 .dep("dataset")
                 .dep("train")
                 .print()
-                .exclusive()
                 .runs(move |deps| {
                     let traces = util::value_trace_groups(&deps[0])?;
                     let dataset = deps[1].as_mem::<Dataset>().ok_or("dataset unavailable")?;

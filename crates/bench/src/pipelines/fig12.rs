@@ -62,7 +62,6 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
             .param("hidden", "64,32")
             .param("epochs", epochs)
             .policy(CachePolicy::Stamp)
-            .exclusive()
             .runs(move |deps| {
                 let dataset = deps[0].as_mem::<Dataset>().ok_or("dataset unavailable")?;
                 vaesa_obs::progress!("training input-space predictors ({epochs} epochs)...");
@@ -95,7 +94,6 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
                 .param("stream_base", li)
                 .param("samples", samples)
                 .param("seeds", seeds)
-                .exclusive()
                 .runs(move |deps| {
                     let dataset = deps[0].as_mem::<Dataset>().ok_or("dataset unavailable")?;
                     let trained = deps[1]

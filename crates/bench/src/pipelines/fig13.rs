@@ -49,7 +49,6 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
                 .param("layer", layer.name())
                 .param("stream_base", li)
                 .param("starts", starts)
-                .exclusive()
                 .runs(move |deps| {
                     let dataset = deps[0].as_mem::<Dataset>().ok_or("dataset unavailable")?;
                     let trained = deps[1]

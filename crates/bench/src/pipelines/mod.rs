@@ -9,15 +9,21 @@
 //!
 //! Porting preserved the historical RNG streams of every binary, so a
 //! pipeline writes byte-identical CSV/SVG artifacts to its pre-flow
-//! predecessor at the same seed/scale/precision (the equivalence tests in
-//! `tests.rs` assert this for fig11, fig12, and the Pareto study).
+//! predecessor at the same seed/scale/precision.
+//! `fig12_fast_artifacts_match_pinned_digests` in `tests.rs` pins the
+//! seed-0 Fig. 12 artifacts; the benchmark in `perfbench/` pins Fig. 12
+//! and Fig. 11 at their `--fast` budgets.
 //!
 //! Node conventions:
 //!
-//! - dataset/train/search nodes are [`NodeSpec::exclusive`]: they publish
-//!   shared observability series (`train.*`, `dse.*`) and query the shared
-//!   memoizing scheduler, so they run serially in deterministic
-//!   declaration order, exactly like the straight-line binaries did.
+//! - every node draws its randomness from its own historical RNG stream
+//!   (`Args::rng`) and shares only order-free state — the memoizing
+//!   scheduler (whose results depend on the key alone) and commutative
+//!   counters — so independent nodes (the `train`/`input_preds` pair, the
+//!   per-layer or per-network searches) overlap on the `vaesa-par` pool.
+//!   Their `train.*`/`dse.*` series land in per-node observability scopes
+//!   that the runner commits in declaration order, exactly the state the
+//!   straight-line binaries left.
 //! - dataset/train outputs are in-memory ([`Value::mem`]) and use
 //!   [`CachePolicy::Stamp`]; search/report/CSV/SVG outputs are encodable
 //!   and persist, which is what lets a warm re-run rebuild every artifact
@@ -271,7 +277,6 @@ pub(crate) fn dataset_node(env: &Arc<PipelineEnv>, n_configs: usize) -> NodeSpec
         .param("pool", "table3")
         .param("n_configs", n_configs)
         .policy(CachePolicy::Stamp)
-        .exclusive()
         .runs(move |_| {
             vaesa_obs::progress!("building dataset ({n_configs} configs)...");
             let pool = workloads::training_layers();
@@ -300,7 +305,6 @@ pub(crate) fn train_node(
         .param("alpha", alpha)
         .param("epochs", epochs)
         .policy(CachePolicy::Stamp)
-        .exclusive()
         .runs(move |deps| {
             let dataset = deps[0].as_mem::<Dataset>().ok_or("dataset unavailable")?;
             vaesa_obs::progress!("training {latent_dim}-D VAESA ({epochs} epochs)...");

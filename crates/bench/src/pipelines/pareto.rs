@@ -38,7 +38,6 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
             .dep("dataset")
             .param("network", "resnet50")
             .param("budget", budget)
-            .exclusive()
             .runs(move |deps| {
                 let dataset = deps[0].as_mem::<Dataset>().ok_or("dataset unavailable")?;
                 let resnet = workloads::resnet50();
@@ -57,7 +56,6 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
             .dep("train")
             .param("network", "resnet50")
             .param("budget", budget)
-            .exclusive()
             .runs(move |deps| {
                 let dataset = deps[0].as_mem::<Dataset>().ok_or("dataset unavailable")?;
                 let trained = deps[1]
@@ -79,7 +77,6 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
             .dep("search_vae")
             .dep("dataset")
             .dep("train")
-            .exclusive()
             .runs(move |deps| {
                 let random_trace = util::value_trace(&deps[0])?;
                 let vae_trace = util::value_trace(&deps[1])?;

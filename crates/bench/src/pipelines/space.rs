@@ -37,7 +37,6 @@ pub(super) fn build_fig04(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
             .dep("dataset")
             .dep("train")
             .param("workload", "resnet50")
-            .exclusive()
             .runs(move |deps| {
                 let dataset = deps[0].as_mem::<Dataset>().ok_or("dataset unavailable")?;
                 let trained = deps[1]
@@ -191,7 +190,6 @@ pub(super) fn build_fig05(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
             .dep("train")
             .param("grid_n", grid_n)
             .param("half", half)
-            .exclusive()
             .runs(move |deps| {
                 let dataset = deps[0].as_mem::<Dataset>().ok_or("dataset unavailable")?;
                 let trained = deps[1]
@@ -346,7 +344,6 @@ pub(super) fn build_fig07(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
                 .param("layer", "resnet50[6]")
                 .param("n_inner", n_inner)
                 .param("n_beyond", n_beyond)
-                .exclusive()
                 .runs(move |deps| {
                     let dataset = deps[0].as_mem::<Dataset>().ok_or("dataset unavailable")?;
                     let trained = deps[1]
@@ -485,7 +482,6 @@ pub(super) fn build_fig09(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
                 .dep("dataset")
                 .dep(&train_id)
                 .param("alpha_index", i)
-                .exclusive()
                 .runs(move |deps| {
                     let dataset = deps[0].as_mem::<Dataset>().ok_or("dataset unavailable")?;
                     let trained = deps[1]

@@ -82,17 +82,13 @@ pub struct NodeSpec {
     pub emit: Option<String>,
     /// When true, the node's `Str` output is printed to stdout.
     pub print: bool,
-    /// When true, the node mutates shared observability state (e.g.
-    /// publishes `dse.*`/`train.*` series) and must run serially in
-    /// declaration order; non-exclusive nodes may run in parallel.
-    pub exclusive: bool,
     /// The work.
     pub run: Box<NodeFn>,
 }
 
 impl NodeSpec {
     /// Starts a node with the given id and kind; everything else defaults
-    /// (no params, no deps, `Persist`, not a sink, parallel-safe).
+    /// (no params, no deps, `Persist`, not a sink).
     pub fn new(id: impl Into<String>, kind: StageKind) -> Self {
         NodeSpec {
             id: id.into(),
@@ -102,7 +98,6 @@ impl NodeSpec {
             policy: CachePolicy::Persist,
             emit: None,
             print: false,
-            exclusive: false,
             run: Box::new(|_| Ok(Value::Unit)),
         }
     }
@@ -141,13 +136,6 @@ impl NodeSpec {
     /// Marks the node's `Str` output for printing to stdout.
     pub fn print(mut self) -> Self {
         self.print = true;
-        self
-    }
-
-    /// Marks the node as requiring serial execution (it mutates shared
-    /// observability state).
-    pub fn exclusive(mut self) -> Self {
-        self.exclusive = true;
         self
     }
 
@@ -370,14 +358,13 @@ mod tests {
             .policy(CachePolicy::Stamp)
             .emit("x.csv")
             .print()
-            .exclusive()
             .runs(|_| Ok(Value::Int(1)));
         assert_eq!(spec.kind.label(), "engine:bo");
         assert_eq!(spec.params.get("budget").unwrap(), "8");
         assert_eq!(spec.deps, vec!["dataset"]);
         assert_eq!(spec.policy, CachePolicy::Stamp);
         assert_eq!(spec.emit.as_deref(), Some("x.csv"));
-        assert!(spec.print && spec.exclusive);
+        assert!(spec.print);
         assert_eq!((spec.run)(&[]).unwrap(), Value::Int(1));
     }
 }

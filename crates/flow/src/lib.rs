@@ -13,9 +13,12 @@
 //!   pipeline after a plot tweak re-executes the render stage only;
 //! - schedules **demand-driven**: a node runs only when its output is
 //!   actually needed downstream and the cache can't supply it;
-//! - runs independent ready nodes through the `vaesa-par` pool (nodes
-//!   that publish shared observability series opt out via
-//!   [`NodeSpec::exclusive`] and run serially in deterministic order);
+//! - runs every ready node of a wave through the `vaesa-par` pool, each
+//!   inside its own `vaesa-obs` [`Scope`](vaesa_obs::Scope); the scopes'
+//!   order-sensitive writes (`train.*`/`dse.*` series, progress events)
+//!   are committed in declaration order after the wave, so the registry
+//!   ends exactly as a serial run leaves it; a panicking node fails the
+//!   run with an error naming it;
 //! - wraps every executed node in a `vaesa-obs` span (`flow/<id>`;
 //!   cache materializations record `flow-cache/<id>` instead) and
 //!   publishes `flow.cache.{hits,misses,refreshes}` counters plus a

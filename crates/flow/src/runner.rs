@@ -11,17 +11,23 @@
 //!    return a payload. A [`CachePolicy::Stamp`] entry proves completion
 //!    but holds no payload, so a stamped node re-runs ("refresh") only
 //!    when a downstream consumer actually needs its output.
-//! 3. **Execute** (waves of ready nodes): nodes marked
-//!    [`NodeSpec::exclusive`] run serially in deterministic topological
-//!    order (they mutate shared observability series); the rest of each
-//!    wave runs through the `vaesa-par` pool. Executed nodes record a
-//!    `flow/<id>` span; cache-served nodes record `flow-cache/<id>`
-//!    instead so warm-run timings never pollute the per-stage trend
-//!    history.
+//! 3. **Execute** (waves of ready nodes): every ready node of a wave
+//!    runs through the `vaesa-par` pool inside its own `vaesa-obs`
+//!    [`Scope`], which buffers its order-sensitive writes (series pushes
+//!    and sets, progress events). After the wave the runner commits the
+//!    scopes in declaration order, so the registry ends exactly as a
+//!    serial run in that order leaves it, at any thread count. A panic
+//!    inside a node is caught and fails the run with an error naming the
+//!    node. Executed nodes record a `flow/<id>` span; cache-served nodes
+//!    record `flow-cache/<id>` instead so warm-run timings never pollute
+//!    the per-stage trend history.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
+
+use vaesa_obs::Scope;
 
 use crate::cache::{default_cache_root, CacheEntry, FlowCache};
 use crate::graph::{CachePolicy, FlowGraph, NodeSpec};
@@ -276,9 +282,7 @@ impl FlowRunner {
         let mut done: Vec<bool> = (0..n).map(|i| !will_run[i]).collect();
         let mut remaining = done.iter().filter(|&&d| !d).count();
         while remaining > 0 {
-            let ready: Vec<usize> = order
-                .iter()
-                .copied()
+            let ready: Vec<usize> = (0..n)
                 .filter(|&i| {
                     !done[i]
                         && nodes[i].deps.iter().all(|d| {
@@ -292,22 +296,12 @@ impl FlowRunner {
                     "scheduler stalled: no runnable node (unrefreshable dependency?)".to_string(),
                 );
             }
-            let (serial, parallel): (Vec<usize>, Vec<usize>) =
-                ready.iter().partition(|&&i| nodes[i].exclusive);
-            for &i in &serial {
-                let (value, ns) = self.execute(&nodes[i], &outputs)?;
+            let results = vaesa_par::par_map(&ready, |&i| self.execute(&nodes[i], &outputs));
+            for (&i, result) in ready.iter().zip(results) {
+                let (value, ns, scope) = result?;
+                scope.commit();
                 outputs[i] = Some(Arc::new(value));
                 wall_ns[i] = ns;
-            }
-            if !parallel.is_empty() {
-                let results = vaesa_par::par_map(&parallel, |&i| self.execute(&nodes[i], &outputs));
-                for (&i, result) in parallel.iter().zip(results) {
-                    let (value, ns) = result?;
-                    outputs[i] = Some(Arc::new(value));
-                    wall_ns[i] = ns;
-                }
-            }
-            for &i in serial.iter().chain(&parallel) {
                 done[i] = true;
                 remaining -= 1;
                 match nodes[i].policy {
@@ -387,11 +381,13 @@ impl FlowRunner {
         })
     }
 
+    /// Runs one node inside a fresh observability scope (left for the
+    /// caller to commit), timing it and turning a panic into an error.
     fn execute(
         &self,
         node: &NodeSpec,
         outputs: &[Option<Arc<Value>>],
-    ) -> Result<(Value, u64), String> {
+    ) -> Result<(Value, u64, Arc<Scope>), String> {
         let inputs: Vec<Arc<Value>> = node
             .deps
             .iter()
@@ -401,13 +397,22 @@ impl FlowRunner {
                     .expect("dependency value available")
             })
             .collect();
+        let scope = Scope::new();
         let start = Instant::now();
-        let span = vaesa_obs::span(&format!("flow/{}", node.id));
-        let result = (node.run)(&inputs);
-        span.finish();
+        let result = {
+            let _entered = scope.enter();
+            let _span = vaesa_obs::span(&format!("flow/{}", node.id));
+            panic::catch_unwind(AssertUnwindSafe(|| (node.run)(&inputs)))
+        };
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let value = result.map_err(|e| format!("node '{}': {e}", node.id))?;
-        Ok((value, ns))
+        let value = match result {
+            Ok(result) => result.map_err(|e| format!("node '{}': {e}", node.id))?,
+            Err(payload) => {
+                let message = vaesa_obs::panic_message(&*payload);
+                return Err(format!("node '{}' panicked: {message}", node.id));
+            }
+        };
+        Ok((value, ns, scope))
     }
 
     /// Writes/prints a sink node's string payload.
@@ -740,28 +745,77 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_nodes_run_in_topo_order() {
-        // Three independent exclusive nodes must append in declaration
-        // (== topo) order even when a parallel pool is available.
-        let log: Arc<std::sync::Mutex<Vec<&'static str>>> =
-            Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mk = |name: &'static str, log: Arc<std::sync::Mutex<Vec<&'static str>>>| {
-            NodeSpec::new(name, StageKind::Engine("x".into()))
+    fn independent_nodes_merge_series_in_declaration_order() {
+        // The five nodes of one wave push to a shared series while running
+        // concurrently, and with two or more workers `s1` always writes
+        // before `s0`; the merged series must still read as a serial run in
+        // declaration order leaves it. `s2` also replaces a second series,
+        // which drops what `s0`/`s1` pushed there before it.
+        let (pushed, replaced) = ("flow.test.merge_pushed", "flow.test.merge_replaced");
+        for _ in 0..10 {
+            let (tx, rx) = std::sync::mpsc::channel::<()>();
+            let s1_wrote = Arc::new((std::sync::Mutex::new(tx), std::sync::Mutex::new(rx)));
+            let nodes = (0..5)
+                .map(|k| {
+                    let s1_wrote = Arc::clone(&s1_wrote);
+                    NodeSpec::new(format!("s{k}"), StageKind::Engine("x".into()))
+                        .policy(CachePolicy::Never)
+                        .print()
+                        .runs(move |_| {
+                            if k == 0 {
+                                // A serial run (one worker) gives up waiting.
+                                let wait = std::time::Duration::from_millis(200);
+                                let _ = s1_wrote.1.lock().unwrap().recv_timeout(wait);
+                            }
+                            let v = k as f64;
+                            vaesa_obs::series(pushed).push(v);
+                            if k == 2 {
+                                vaesa_obs::series(replaced).set(vec![v]);
+                            } else {
+                                vaesa_obs::series(replaced).push(v);
+                            }
+                            if k == 1 {
+                                let _ = s1_wrote.0.lock().unwrap().send(());
+                            }
+                            Ok(Value::Str(String::new()))
+                        })
+                })
+                .collect();
+            let scope = Scope::new();
+            {
+                let _in = scope.enter();
+                let graph = FlowGraph::new(nodes).unwrap();
+                FlowRunner::new(graph, config("merge")).run().unwrap();
+            }
+            assert_eq!(scope.series(pushed).values(), vec![0.0, 1.0, 2.0, 3.0, 4.0]);
+            assert_eq!(scope.series(replaced).values(), vec![2.0, 3.0, 4.0]);
+        }
+    }
+
+    #[test]
+    fn a_panicking_node_fails_the_run_with_its_id() {
+        let ok_ran = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&ok_ran);
+        let graph = FlowGraph::new(vec![
+            NodeSpec::new("healthy", StageKind::Report)
                 .policy(CachePolicy::Never)
-                .exclusive()
                 .print()
                 .runs(move |_| {
-                    log.lock().unwrap().push(name);
+                    seen.fetch_add(1, Ordering::SeqCst);
                     Ok(Value::Str(String::new()))
-                })
-        };
-        let graph = FlowGraph::new(vec![
-            mk("s1", Arc::clone(&log)),
-            mk("s2", Arc::clone(&log)),
-            mk("s3", Arc::clone(&log)),
+                }),
+            NodeSpec::new("bomb", StageKind::Report)
+                .policy(CachePolicy::Never)
+                .print()
+                .runs(|_| panic!("detonated")),
         ])
         .unwrap();
-        FlowRunner::new(graph, config("excl")).run().unwrap();
-        assert_eq!(*log.lock().unwrap(), vec!["s1", "s2", "s3"]);
+        let err = FlowRunner::new(graph, config("panic")).run().unwrap_err();
+        assert_eq!(err, "node 'bomb' panicked: detonated");
+        assert_eq!(
+            ok_ran.load(Ordering::SeqCst),
+            1,
+            "the healthy node still ran"
+        );
     }
 }

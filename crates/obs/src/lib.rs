@@ -18,6 +18,9 @@
 //! - request-scoped tracing — [`RequestCtx`] span trees keyed by
 //!   deterministic request ids, retained in a bounded [`RequestTracker`];
 //! - meta / events — run-level key-value context and progress messages;
+//! - scopes — thread-local buffers ([`Scope`]) that keep the
+//!   order-sensitive writes (series, events) of concurrently running work
+//!   deterministic by committing them in a fixed order;
 //! - traces — optional per-event span timelines (off by default; see
 //!   [`Registry::enable_tracing`] and the Chrome `trace_event` exporter
 //!   [`chrome_trace_string`]/[`write_chrome_trace`]).
@@ -69,6 +72,7 @@ mod live;
 mod manifest;
 mod prom;
 mod request;
+mod scope;
 mod trace;
 
 pub use live::{LatencyHistogram, LatencySnapshot, SlidingWindow};
@@ -79,6 +83,7 @@ pub use prom::{
 pub use request::{
     RequestCtx, RequestIdGen, RequestRecord, RequestSpan, RequestSpanNode, RequestTracker,
 };
+pub use scope::{Scope, ScopeGuard};
 pub use trace::{chrome_trace_string, write_chrome_trace, TraceEvent, DEFAULT_TRACE_CAPACITY};
 
 use std::collections::BTreeMap;
@@ -345,7 +350,15 @@ impl Histogram {
 /// curves). Unlike a histogram, order is meaningful and preserved.
 #[derive(Debug, Default)]
 pub struct Series {
-    values: Mutex<Vec<f64>>,
+    state: Mutex<SeriesState>,
+}
+
+#[derive(Debug, Default)]
+struct SeriesState {
+    values: Vec<f64>,
+    /// Whether [`Series::set`] ran: a [`Scope`] buffer with this flag
+    /// replaces its target on commit instead of appending to it.
+    replaced: bool,
 }
 
 impl Series {
@@ -356,23 +369,40 @@ impl Series {
 
     /// Appends one value.
     pub fn push(&self, v: f64) {
-        self.values.lock().expect("series lock").push(v);
+        self.state.lock().expect("series lock").values.push(v);
     }
 
     /// Replaces the whole series (used when a run re-records a trajectory:
     /// the manifest keeps the most recent run's curve).
     pub fn set(&self, values: Vec<f64>) {
-        *self.values.lock().expect("series lock") = values;
+        let mut state = self.state.lock().expect("series lock");
+        state.values = values;
+        state.replaced = true;
+    }
+
+    /// Appends several values.
+    fn extend(&self, values: Vec<f64>) {
+        self.state
+            .lock()
+            .expect("series lock")
+            .values
+            .extend(values);
+    }
+
+    /// Empties the series, returning its values and whether it was set.
+    fn take(&self) -> (Vec<f64>, bool) {
+        let state = std::mem::take(&mut *self.state.lock().expect("series lock"));
+        (state.values, state.replaced)
     }
 
     /// A copy of the recorded values, in order.
     pub fn values(&self) -> Vec<f64> {
-        self.values.lock().expect("series lock").clone()
+        self.state.lock().expect("series lock").values.clone()
     }
 
     /// Number of recorded values.
     pub fn len(&self) -> usize {
-        self.values.lock().expect("series lock").len()
+        self.state.lock().expect("series lock").values.len()
     }
 
     /// Whether the series is empty.
@@ -720,6 +750,16 @@ pub fn process_cpu_ns() -> Option<u64> {
     Some((utime + stime) * NS_PER_TICK)
 }
 
+/// The message a caught panic carries (`panic!` with a literal or a format
+/// string), for reporting a contained panic as an error.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
 /// Best-effort current git revision: reads `.git/HEAD` (searching upward
 /// from the working directory) and resolves one level of `ref:`
 /// indirection. Returns `None` outside a git checkout.
@@ -794,9 +834,13 @@ pub fn latency_histogram(name: &str) -> Arc<LatencyHistogram> {
     global().latency_histogram(name)
 }
 
-/// [`Registry::series`] on the [`global()`] registry.
+/// [`Registry::series`] on the [`global()`] registry — or, while a
+/// [`Scope`] is entered on this thread, the scope's buffered series.
 pub fn series(name: &str) -> Arc<Series> {
-    global().series(name)
+    match Scope::current() {
+        Some(scope) => scope.series(name),
+        None => global().series(name),
+    }
 }
 
 /// [`Registry::span`] on the [`global()`] registry.
@@ -809,9 +853,13 @@ pub fn set_meta(key: &str, value: impl Display) {
     global().set_meta(key, value);
 }
 
-/// [`Registry::event`] on the [`global()`] registry.
+/// [`Registry::event`] on the [`global()`] registry — or, while a
+/// [`Scope`] is entered on this thread, buffered in the scope.
 pub fn event(message: &str) {
-    global().event(message);
+    match Scope::current() {
+        Some(scope) => scope.event(message),
+        None => global().event(message),
+    }
 }
 
 /// A progress line for humans *and* machines: prints to stderr (keeping

@@ -9,6 +9,10 @@
 //! that need reproducible randomness draw their RNG streams *before* fanning
 //! out, so the worker pool never observes an RNG.
 //!
+//! Workers enter their caller's `vaesa-obs` [`Scope`](vaesa_obs::Scope),
+//! so order-sensitive observability written inside a parallel section is
+//! buffered with the work item that called it.
+//!
 //! The pool size defaults to [`std::thread::available_parallelism`] and can
 //! be overridden with the `VAESA_THREADS` environment variable (a positive
 //! integer; `1` forces fully serial execution).
@@ -97,10 +101,12 @@ where
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
+    let obs_scope = vaesa_obs::Scope::current();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    let _inherit = obs_scope.as_ref().map(vaesa_obs::Scope::enter);
                     let mut local: Vec<(usize, R)> = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -171,11 +177,13 @@ where
     for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
         buckets[ci % threads].push((ci, chunk));
     }
+    let obs_scope = vaesa_obs::Scope::current();
     std::thread::scope(|scope| {
         let handles: Vec<_> = buckets
             .into_iter()
             .map(|bucket| {
                 scope.spawn(|| {
+                    let _inherit = obs_scope.as_ref().map(vaesa_obs::Scope::enter);
                     for (ci, chunk) in bucket {
                         f(ci, ci * chunk_len, chunk);
                     }
@@ -300,6 +308,31 @@ mod tests {
                 assert!(max - min <= 1);
             }
         }
+    }
+
+    #[test]
+    fn workers_write_into_their_callers_scope() {
+        let obs_scope = vaesa_obs::Scope::new();
+        {
+            let _in = obs_scope.enter();
+            par_map_threads(&[1.0, 2.0, 3.0, 4.0], 4, |&x: &f64| {
+                vaesa_obs::series("par.test.scoped").push(x);
+            });
+            let mut data = [0u8; 8];
+            par_chunks_mut_threads(&mut data, 2, 4, |ci, _, _| {
+                vaesa_obs::series("par.test.scoped_chunks").push(ci as f64);
+            });
+        }
+        // Everything landed in the caller's scope, nothing escaped to the
+        // global registry.
+        let mut pushed = obs_scope.series("par.test.scoped").values();
+        pushed.sort_by(f64::total_cmp);
+        assert_eq!(pushed, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(obs_scope.series("par.test.scoped_chunks").len(), 4);
+        assert!(vaesa_obs::global().series("par.test.scoped").is_empty());
+        assert!(vaesa_obs::global()
+            .series("par.test.scoped_chunks")
+            .is_empty());
     }
 
     #[test]

@@ -16,8 +16,13 @@
 //! only on row `i` of the input) — which every batched path in this
 //! workspace guarantees — so coalescing is invisible to callers except in
 //! latency and throughput.
+//!
+//! A panic inside the compute closure is contained: the leader publishes
+//! the failure for its generation, and every rider of that batch (leader
+//! included) gets an `Err` instead of waiting forever.
 
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use vaesa_obs::{Histogram, LatencyHistogram};
@@ -36,9 +41,10 @@ struct BatchState<T, R> {
     has_leader: bool,
     /// Id of the batch currently forming; completed ids index `results`.
     generation: u64,
-    /// Completed batches awaiting pickup: generation → (results, readers
-    /// still to collect). Entries are removed when the last reader leaves.
-    results: HashMap<u64, (Vec<R>, usize)>,
+    /// Completed batches awaiting pickup: generation → (results or the
+    /// compute failure, readers still to collect). Entries are removed
+    /// when the last reader leaves.
+    results: HashMap<u64, (BatchOutcome<R>, usize)>,
     /// Total batches executed (for the coalescing stats).
     batches: u64,
     /// Total submit calls (for the coalescing stats).
@@ -60,6 +66,9 @@ impl<T, R> Default for BatchState<T, R> {
         }
     }
 }
+
+/// One executed batch: every row's result, or why the compute failed.
+type BatchOutcome<R> = Result<Vec<R>, String>;
 
 /// What a caller learns about the batch its submission rode in: identity
 /// and size for the access log, plus (leader only) the tagged membership
@@ -157,26 +166,29 @@ impl<T: Send, R: Send + Clone> Batcher<T, R> {
     /// caller may end up leading a batch (running the compute closure for
     /// everyone) or following one (sleeping until the leader finishes).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the compute closure returns the wrong number of rows, or
-    /// if a leader holding the batch panicked inside the closure (the
-    /// mutex is then poisoned for all subsequent callers).
-    pub fn submit(&self, items: Vec<T>) -> Vec<R> {
-        self.submit_tagged(items, None).0
+    /// Returns the panic message if the compute closure panicked (or broke
+    /// the one-result-per-row contract) on the batch these rows rode in.
+    pub fn submit(&self, items: Vec<T>) -> Result<Vec<R>, String> {
+        self.submit_tagged(items, None).map(|(results, _)| results)
     }
 
     /// [`Batcher::submit`] with request attribution: `tag` (usually a
     /// request id) is recorded as batch membership, and the returned
     /// [`BatchInfo`] identifies the batch the rows rode in.
     ///
-    /// # Panics
+    /// # Errors
     ///
     /// Same contract as [`Batcher::submit`].
-    pub fn submit_tagged(&self, items: Vec<T>, tag: Option<&str>) -> (Vec<R>, BatchInfo) {
+    pub fn submit_tagged(
+        &self,
+        items: Vec<T>,
+        tag: Option<&str>,
+    ) -> Result<(Vec<R>, BatchInfo), String> {
         let n = items.len();
         if n == 0 {
-            return (
+            return Ok((
                 Vec::new(),
                 BatchInfo {
                     batch_id: 0,
@@ -184,7 +196,7 @@ impl<T: Send, R: Send + Clone> Batcher<T, R> {
                     leader: false,
                     members: Vec::new(),
                 },
-            );
+            ));
         }
         let mut state = self.state.lock().expect("batcher lock");
         state.submits += 1;
@@ -236,47 +248,54 @@ impl<T: Send, R: Send + Clone> Batcher<T, R> {
             }
 
             let size = batch.len();
-            let results = self.compute_checked(batch);
-            let mine = results[offset..offset + n].to_vec();
+            // The lock is not held here, so a panic would leave the
+            // followers waiting on a generation nobody publishes: catch it
+            // and publish the failure instead.
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| self.compute_checked(batch)))
+                .map_err(|payload| {
+                    let message = vaesa_obs::panic_message(&*payload);
+                    format!("batch compute panicked: {message}")
+                });
+            let mine = slice(&outcome, offset, n);
             let mut state = self.state.lock().expect("batcher lock");
             if readers > 1 {
-                state.results.insert(my_generation, (results, readers - 1));
+                state.results.insert(my_generation, (outcome, readers - 1));
             }
             drop(state);
             self.wakeup.notify_all();
-            (
-                mine,
+            Ok((
+                mine?,
                 BatchInfo {
                     batch_id: my_generation,
                     size,
                     leader: true,
                     members,
                 },
-            )
+            ))
         } else {
-            // Follower: wait for our generation's results to be published.
+            // Follower: wait for our generation's outcome to be published.
             while !state.results.contains_key(&my_generation) {
                 state = self.wakeup.wait(state).expect("batcher lock");
             }
-            let (results, readers) = state
+            let (outcome, readers) = state
                 .results
                 .get_mut(&my_generation)
                 .expect("checked in loop");
-            let size = results.len();
-            let mine = results[offset..offset + n].to_vec();
+            let mine = slice(outcome, offset, n);
+            let size = outcome.as_ref().map_or(0, Vec::len);
             *readers -= 1;
             if *readers == 0 {
                 state.results.remove(&my_generation);
             }
-            (
-                mine,
+            Ok((
+                mine?,
                 BatchInfo {
                     batch_id: my_generation,
                     size,
                     leader: false,
                     members: Vec::new(),
                 },
-            )
+            ))
         }
     }
 
@@ -287,6 +306,14 @@ impl<T: Send, R: Send + Clone> Batcher<T, R> {
             submits: state.submits,
             batches: state.batches,
         }
+    }
+}
+
+/// One caller's rows of a batch outcome.
+fn slice<R: Clone>(outcome: &BatchOutcome<R>, offset: usize, n: usize) -> Result<Vec<R>, String> {
+    match outcome {
+        Ok(results) => Ok(results[offset..offset + n].to_vec()),
+        Err(message) => Err(message.clone()),
     }
 }
 
@@ -318,8 +345,8 @@ mod tests {
             c.fetch_add(1, Ordering::SeqCst);
             xs.iter().map(|x| x * 10).collect()
         });
-        assert_eq!(batcher.submit(vec![1, 2]), vec![10, 20]);
-        assert_eq!(batcher.submit(vec![3]), vec![30]);
+        assert_eq!(batcher.submit(vec![1, 2]).unwrap(), vec![10, 20]);
+        assert_eq!(batcher.submit(vec![3]).unwrap(), vec![30]);
         assert_eq!(calls.load(Ordering::SeqCst), 2);
         assert_eq!(
             batcher.stats(),
@@ -333,7 +360,7 @@ mod tests {
     #[test]
     fn empty_submissions_cost_nothing() {
         let batcher = Batcher::new(Duration::from_millis(1), |xs: Vec<i64>| xs);
-        assert!(batcher.submit(Vec::new()).is_empty());
+        assert!(batcher.submit(Vec::new()).unwrap().is_empty());
         assert_eq!(batcher.stats().batches, 0);
     }
 
@@ -356,7 +383,7 @@ mod tests {
                     barrier.wait();
                     let items: Vec<(usize, i64)> =
                         (0..3).map(|i| (t, (t * 3 + i) as i64)).collect();
-                    let out = batcher.submit(items.clone());
+                    let out = batcher.submit(items.clone()).unwrap();
                     assert_eq!(out.len(), items.len());
                     for ((t_in, x), (t_out, y)) in items.iter().zip(&out) {
                         assert_eq!(t_in, t_out, "result routed to the wrong caller");
@@ -381,17 +408,17 @@ mod tests {
     #[test]
     fn tagged_submissions_report_batch_identity_and_membership() {
         let batcher = Batcher::new(Duration::from_millis(1), |xs: Vec<i64>| xs);
-        let (out, info) = batcher.submit_tagged(vec![1, 2], Some("r1-0"));
+        let (out, info) = batcher.submit_tagged(vec![1, 2], Some("r1-0")).unwrap();
         assert_eq!(out, vec![1, 2]);
         assert!(info.leader, "a lone submitter leads its own batch");
         assert_eq!(info.batch_id, 0);
         assert_eq!(info.size, 2);
         assert_eq!(info.members, vec!["r1-0".to_string()]);
         // The next batch gets the next generation id.
-        let (_, info2) = batcher.submit_tagged(vec![3], Some("r1-1"));
+        let (_, info2) = batcher.submit_tagged(vec![3], Some("r1-1")).unwrap();
         assert_eq!(info2.batch_id, 1);
         // Empty submissions ride no batch at all.
-        let (out, info3) = batcher.submit_tagged(Vec::new(), Some("r1-2"));
+        let (out, info3) = batcher.submit_tagged(Vec::new(), Some("r1-2")).unwrap();
         assert!(out.is_empty());
         assert_eq!(info3.size, 0);
     }
@@ -412,7 +439,7 @@ mod tests {
                 std::thread::spawn(move || {
                     barrier.wait();
                     let tag = format!("r-{t}");
-                    batcher.submit_tagged(vec![t as i64], Some(&tag))
+                    batcher.submit_tagged(vec![t as i64], Some(&tag)).unwrap()
                 })
             })
             .collect();
@@ -435,5 +462,39 @@ mod tests {
             vaesa_obs::latency_histogram("serve.coalesce.test_tagged.queue_wait_ns").count()
                 >= threads as u64
         );
+    }
+
+    #[test]
+    fn a_panicking_leader_fails_its_followers_instead_of_hanging_them() {
+        // Any batch containing a negative row panics inside compute.
+        let batcher = Arc::new(Batcher::new(Duration::from_secs(1), |xs: Vec<i64>| {
+            assert!(xs.iter().all(|&x| x >= 0), "negative row");
+            xs
+        }));
+        // Two riders released together land in one window: one leads, the
+        // other follows. Each reports on a thread the test can abandon,
+        // since before the fix the follower waited on the condvar forever.
+        let barrier = Arc::new(Barrier::new(2));
+        let (tx, rx) = std::sync::mpsc::channel();
+        for row in [-1, 7] {
+            let (batcher, barrier, tx) = (Arc::clone(&batcher), Arc::clone(&barrier), tx.clone());
+            std::thread::spawn(move || {
+                barrier.wait();
+                let _ = tx.send(batcher.submit(vec![row]));
+            });
+        }
+        for _ in 0..2 {
+            let outcome = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a rider hung after the leader panicked");
+            let err = outcome.expect_err("both rode the failed batch");
+            assert!(
+                err.contains("batch compute panicked: negative row"),
+                "{err}"
+            );
+        }
+        assert_eq!(batcher.stats().batches, 1, "the riders shared one batch");
+        // The batcher keeps serving: nothing is poisoned or left pending.
+        assert_eq!(batcher.submit(vec![4]).unwrap(), vec![4]);
     }
 }

@@ -434,8 +434,12 @@ fn handle_predict(request: &Request, state: &ServeState, ctx: &RequestCtx<'stati
     vaesa_obs::counter("serve.predict.rows").add(rows.len() as u64);
     ctx.note("rows", rows.len());
     let submit_span = ctx.span("serve/predict/submit");
-    let (predictions, batch) = state.predict.submit_tagged(rows, Some(ctx.id()));
+    let submitted = state.predict.submit_tagged(rows, Some(ctx.id()));
     submit_span.finish();
+    let (predictions, batch) = match submitted {
+        Ok(done) => done,
+        Err(message) => return Response::error(500, &message),
+    };
     note_batch(ctx, &batch);
     match serde_json::to_string(&predictions) {
         Ok(body) => Response::json(200, format!("{{\"predictions\":{body}}}")),
@@ -452,8 +456,12 @@ fn handle_decode(request: &Request, state: &ServeState, ctx: &RequestCtx<'static
     ctx.note("rows", rows.len());
     let hits_before = state.core.scheduler().cache_stats().hits;
     let submit_span = ctx.span("serve/decode/submit");
-    let (designs, batch) = state.decode.submit_tagged(rows, Some(ctx.id()));
+    let submitted = state.decode.submit_tagged(rows, Some(ctx.id()));
     submit_span.finish();
+    let (designs, batch) = match submitted {
+        Ok(done) => done,
+        Err(message) => return Response::error(500, &message),
+    };
     note_batch(ctx, &batch);
     // Scheduler-cache hits observed while this request's batch ran; an
     // approximation under concurrency, but exact for the common

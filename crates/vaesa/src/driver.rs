@@ -286,13 +286,15 @@ impl BatchDifferentiableObjective for BatchEdpObjective<'_> {
     }
 }
 
-/// Direct-mode gradient proxy over the input-space predictors; rows are
-/// evaluated independently, so the batch is equivalent to per-point calls.
+/// Direct-mode gradient proxy over the input-space predictors: one batched
+/// pass per descent step, equivalent to per-point calls because every row
+/// is evaluated independently.
 struct InputProxy<'a> {
     predictors: &'a InputPredictors,
     layer_n: Vec<f64>,
     w_lat: f64,
     w_en: f64,
+    scratch: EdpGradBatch,
 }
 
 impl<'a> InputProxy<'a> {
@@ -309,6 +311,7 @@ impl<'a> InputProxy<'a> {
             layer_n,
             w_lat,
             w_en,
+            scratch: EdpGradBatch::default(),
         }
     }
 }
@@ -319,18 +322,14 @@ impl BatchDifferentiableObjective for InputProxy<'_> {
     }
 
     fn evaluate_with_grad_batch(&mut self, xs: &[f64], batch: usize) -> (Vec<f64>, Vec<f64>) {
-        let dim = crate::HW_FEATURES;
-        let mut values = Vec::with_capacity(batch);
-        let mut grads = Vec::with_capacity(batch * dim);
-        for b in 0..batch {
-            let row = &xs[b * dim..(b + 1) * dim];
-            let (v, g) =
-                self.predictors
-                    .predicted_edp_grad(row, &self.layer_n, self.w_lat, self.w_en);
-            values.push(v);
-            grads.extend_from_slice(&g);
-        }
-        (values, grads)
+        self.predictors.predicted_edp_grad_batch(
+            xs,
+            batch,
+            &self.layer_n,
+            self.w_lat,
+            self.w_en,
+            &mut self.scratch,
+        )
     }
 }
 

@@ -179,6 +179,9 @@ pub fn decode_to_configs(
 /// ±3 standard deviations of the prior covers effectively all of it.
 pub const LATENT_HALF_WIDTH: f64 = 3.0;
 
+/// Dataset rows [`latent_box`] encodes per pass.
+const ENCODE_BLOCK_ROWS: usize = 256;
+
 /// The latent search box: the axis-aligned bounding box of the encoded
 /// training data, widened by 25% per side (at least ±0.5).
 ///
@@ -186,14 +189,20 @@ pub const LATENT_HALF_WIDTH: f64 = 3.0;
 /// decoder is only trained (and therefore only reconstructible) on that
 /// region; a fixed prior-based box can clip it or waste budget outside it.
 pub fn latent_box(model: &VaesaModel, dataset: &Dataset) -> BoxSpace {
-    let z = model.encode_mean(&dataset.hw);
     let dz = model.latent_dim();
     let mut lo = vec![f64::INFINITY; dz];
     let mut hi = vec![f64::NEG_INFINITY; dz];
-    for r in 0..z.rows() {
-        for d in 0..dz {
-            lo[d] = lo[d].min(z.get(r, d));
-            hi[d] = hi[d].max(z.get(r, d));
+    // Encode in row blocks: every row encodes independently, so the box is
+    // the one a whole-dataset pass gives, while the encoder's intermediates
+    // stay tens of KB instead of several MB per concurrent search.
+    let cols = dataset.hw.cols();
+    for block in dataset.hw.as_slice().chunks(ENCODE_BLOCK_ROWS * cols) {
+        let z = model.encode_mean(&Tensor::from_vec(block.len() / cols, cols, block.to_vec()));
+        for r in 0..z.rows() {
+            for d in 0..dz {
+                lo[d] = lo[d].min(z.get(r, d));
+                hi[d] = hi[d].max(z.get(r, d));
+            }
         }
     }
     for d in 0..dz {

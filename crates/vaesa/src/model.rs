@@ -100,14 +100,73 @@ pub struct TrainStep {
     pub input_leaves: [VarId; 5],
 }
 
-/// Reusable buffers for [`VaesaModel::predicted_edp_grad_batch`]: the graph
-/// tape and the two input leaf tensors survive across calls, so the batched
-/// gradient-descent hot loop performs no per-step graph or leaf allocations.
+/// Reusable buffers for [`VaesaModel::predicted_edp_grad_batch`] and
+/// [`InputPredictors::predicted_edp_grad_batch`](crate::InputPredictors::predicted_edp_grad_batch):
+/// the graph tape and the two input leaf tensors survive across calls, so
+/// the batched gradient-descent hot loop performs no per-step graph or
+/// leaf allocations.
 #[derive(Debug, Default)]
 pub struct EdpGradBatch {
     g: Graph,
-    zs: Tensor,
+    xs: Tensor,
     layer_rep: Tensor,
+}
+
+impl EdpGradBatch {
+    /// The batched log-EDP proxy `w_lat · lat̂ + w_en · ên` of a
+    /// `(latency, energy)` predictor pair and its gradient with respect to
+    /// the `batch` points stored row-major in `xs` (`dim` features each),
+    /// every point joined with the same `layer` features.
+    ///
+    /// One `B x dim` forward and one backward pass replace `B` single-row
+    /// graph builds. Every op on the predictor path is row-independent, so
+    /// in the default f64 mode row `r` of both outputs is bit-identical to
+    /// the single-row computation at any thread count.
+    pub(crate) fn proxy_grad(
+        &mut self,
+        (latency, energy): (&Mlp, &Mlp),
+        xs: &[f64],
+        (batch, dim): (usize, usize),
+        layer: &[f64],
+        (w_lat, w_en): (f64, f64),
+    ) -> (Vec<f64>, Vec<f64>) {
+        assert_eq!(xs.len(), batch * dim, "batch layout mismatch");
+        assert_eq!(layer.len(), LAYER_FEATURES, "layer feature count mismatch");
+        if batch == 0 {
+            return (Vec::new(), Vec::new());
+        }
+
+        self.xs.copy_from_flat(batch, dim, xs);
+        self.layer_rep.resize_uninit(batch, LAYER_FEATURES);
+        for row in self.layer_rep.as_mut_slice().chunks_mut(LAYER_FEATURES) {
+            row.copy_from_slice(layer);
+        }
+
+        let g = &mut self.g;
+        g.reset();
+        let xi = g.leaf(std::mem::replace(&mut self.xs, Tensor::zeros(0, 0)));
+        let li = g.leaf(std::mem::replace(&mut self.layer_rep, Tensor::zeros(0, 0)));
+        let joined = g.concat_cols(xi, li);
+        let lat = latency.forward(g, joined);
+        let en = energy.forward(g, joined);
+        let lat_w = g.scale(lat.output, w_lat);
+        let en_w = g.scale(en.output, w_en);
+        let sum = g.add(lat_w, en_w);
+        let loss = g.sum_all(sum);
+        // Per-row proxy values: `loss` sums the B x 1 column, so reading the
+        // column itself gives each row's scalar (for B = 1 this is exactly
+        // the single-row path's `loss` value).
+        let values = g.value(sum).as_slice().to_vec();
+        g.backward(loss);
+        let grads = g
+            .grad(xi)
+            .expect("inputs receive a gradient")
+            .as_slice()
+            .to_vec();
+        self.xs = g.take_value(xi);
+        self.layer_rep = g.take_value(li);
+        (values, grads)
+    }
 }
 
 impl VaesaModel {
@@ -354,16 +413,12 @@ impl VaesaModel {
     /// z-gradients for `batch` latent points stored row-major in `zs`
     /// (`zs.len() == batch * dz`), all under the same `layer` features.
     ///
-    /// One `B x dz` forward and one backward pass replace `B` single-row
-    /// graph builds. Every op on the predictor path is row-independent, so
-    /// in the default f64 mode row `r` of both outputs is bit-identical to
-    /// `predicted_edp_grad(&zs[r*dz..], ...)` at any thread count. Under
-    /// `VAESA_PRECISION=f32` the f32 routing guard is shape-dependent (a
-    /// wide batch amortizes the f32 conversion, a single row does not), so
-    /// batch and single-row results agree only to the documented f32
-    /// tolerances. The
-    /// `scratch` buffers (graph tape and leaf tensors) are reclaimed after
-    /// every call, so a descent loop allocates nothing per step.
+    /// In the default f64 mode row `r` of both outputs is bit-identical to
+    /// `predicted_edp_grad(&zs[r*dz..], ...)` at any thread count (see
+    /// [`EdpGradBatch`]). Under `VAESA_PRECISION=f32` the f32 routing guard
+    /// is shape-dependent (a wide batch amortizes the f32 conversion, a
+    /// single row does not), so batch and single-row results agree only to
+    /// the documented f32 tolerances.
     pub fn predicted_edp_grad_batch(
         &self,
         zs: &[f64],
@@ -373,46 +428,13 @@ impl VaesaModel {
         w_en: f64,
         scratch: &mut EdpGradBatch,
     ) -> (Vec<f64>, Vec<f64>) {
-        let dz = self.config.latent_dim;
-        assert_eq!(zs.len(), batch * dz, "latent batch layout mismatch");
-        assert_eq!(layer.len(), LAYER_FEATURES, "layer feature count mismatch");
-        if batch == 0 {
-            return (Vec::new(), Vec::new());
-        }
-
-        scratch.zs.copy_from_flat(batch, dz, zs);
-        scratch.layer_rep.resize_uninit(batch, LAYER_FEATURES);
-        for row in scratch.layer_rep.as_mut_slice().chunks_mut(LAYER_FEATURES) {
-            row.copy_from_slice(layer);
-        }
-
-        let g = &mut scratch.g;
-        g.reset();
-        let zi = g.leaf(std::mem::replace(&mut scratch.zs, Tensor::zeros(0, 0)));
-        let li = g.leaf(std::mem::replace(
-            &mut scratch.layer_rep,
-            Tensor::zeros(0, 0),
-        ));
-        let joined = g.concat_cols(zi, li);
-        let lat = self.latency_predictor.forward(g, joined);
-        let en = self.energy_predictor.forward(g, joined);
-        let lat_w = g.scale(lat.output, w_lat);
-        let en_w = g.scale(en.output, w_en);
-        let sum = g.add(lat_w, en_w);
-        let loss = g.sum_all(sum);
-        // Per-row proxy values: `loss` sums the B x 1 column, so reading the
-        // column itself gives each row's scalar (for B = 1 this is exactly
-        // the single-row path's `loss` value).
-        let values = g.value(sum).as_slice().to_vec();
-        g.backward(loss);
-        let grads = g
-            .grad(zi)
-            .expect("z receives a gradient")
-            .as_slice()
-            .to_vec();
-        scratch.zs = g.take_value(zi);
-        scratch.layer_rep = g.take_value(li);
-        (values, grads)
+        scratch.proxy_grad(
+            (&self.latency_predictor, &self.energy_predictor),
+            zs,
+            (batch, self.config.latent_dim),
+            layer,
+            (w_lat, w_en),
+        )
     }
 
     /// Draws `n` latent samples from the prior `N(0, I)`.

@@ -1,4 +1,4 @@
-use crate::{Dataset, VaesaModel};
+use crate::{Dataset, EdpGradBatch, VaesaModel};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use vaesa_nn::{randn_into, Activation, Adam, Batcher, Graph, Mlp, Tensor};
@@ -348,6 +348,28 @@ impl InputPredictors {
         g.backward(loss);
         let grad = g.grad(x).expect("hw receives gradient").clone().into_vec();
         (value, grad)
+    }
+
+    /// Batched [`InputPredictors::predicted_edp_grad`] over `batch`
+    /// hardware points stored row-major in `hws`, all under the same
+    /// `layer` features; in the default f64 mode row `r` is bit-identical
+    /// to the single-row call (see [`EdpGradBatch`]).
+    pub fn predicted_edp_grad_batch(
+        &self,
+        hws: &[f64],
+        batch: usize,
+        layer: &[f64],
+        w_lat: f64,
+        w_en: f64,
+        scratch: &mut EdpGradBatch,
+    ) -> (Vec<f64>, Vec<f64>) {
+        scratch.proxy_grad(
+            (&self.latency, &self.energy),
+            hws,
+            (batch, crate::HW_FEATURES),
+            layer,
+            (w_lat, w_en),
+        )
     }
 }
 
