@@ -6,11 +6,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
-use vaesa::flows::{decode_to_config, run_vae_gd, HardwareEvaluator};
-use vaesa::{Dataset, DatasetBuilder, TrainConfig, Trainer, VaesaConfig, VaesaModel};
+use vaesa::flows::{decode_to_config, HardwareEvaluator};
+use vaesa::{
+    Dataset, DatasetBuilder, DseDriver, SpaceMode, TrainConfig, Trainer, VaesaConfig, VaesaModel,
+};
 use vaesa_accel::{workloads, DesignSpace};
 use vaesa_cosa::CachedScheduler;
-use vaesa_dse::GdConfig;
+use vaesa_dse::{GdConfig, GdEngine};
 
 struct Fixture {
     space: DesignSpace,
@@ -71,16 +73,19 @@ fn bench_vae_gd_sample(c: &mut Criterion) {
     let layer = workloads::gd_test_layers()[3].clone();
     let single = vec![layer.clone()];
     let evaluator = HardwareEvaluator::new(&f.space, &f.scheduler, &single);
-    let gd = GdConfig {
-        steps: 100,
-        ..GdConfig::default()
+    let driver = DseDriver::new(&evaluator, &f.dataset)
+        .with_model(&f.model)
+        .with_gd_layer(&layer);
+    let gd = GdEngine {
+        config: GdConfig {
+            steps: 100,
+            ..GdConfig::default()
+        },
     };
     c.bench_function("latent_dse/vae_gd_one_sample_100_steps", |b| {
         b.iter(|| {
             let mut rng = ChaCha8Rng::seed_from_u64(9);
-            black_box(run_vae_gd(
-                &evaluator, &f.model, &f.dataset, &layer, 1, gd, &mut rng,
-            ))
+            black_box(driver.run(&gd, SpaceMode::Latent, 1, &mut rng))
         })
     });
 }

@@ -1,11 +1,14 @@
 #![deny(missing_docs)]
-//! Shared harness for the experiment binaries that regenerate every figure
-//! and table of the VAESA paper.
+//! Experiment harness that regenerates every figure and table of the
+//! VAESA paper.
 //!
-//! Each binary in `src/bin/` reproduces one artifact (see the experiment
-//! index in `DESIGN.md`): it builds the dataset, trains the models, runs the
-//! searches, prints a paper-shaped summary to stdout, and writes CSV series
-//! into `results/` for plotting.
+//! Each experiment is a named pipeline in [`pipelines`] (see the
+//! experiment index in `DESIGN.md`), run with `vaesa-cli flow run <name>`:
+//! it builds the dataset, trains the models, runs the searches, prints a
+//! paper-shaped summary to stdout, and writes CSV/SVG series into
+//! `results/` for plotting. This crate holds what the pipelines share:
+//! [`Args`], the [`Setup`] of design space, scheduler and training, and
+//! the run-manifest writer.
 //!
 //! The harness keeps every run deterministic (seeded `ChaCha8Rng`
 //! everywhere) and scales sample counts with the `--fast`/`--full` flags so
@@ -17,20 +20,16 @@ pub mod pipelines;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use vaesa::flows::HardwareEvaluator;
-use vaesa::{
-    Dataset, DatasetBuilder, DseDriver, History, TrainConfig, Trainer, VaesaConfig, VaesaModel,
-};
-use vaesa_accel::{workloads, DesignSpace, LayerShape};
+use vaesa::{Dataset, DatasetBuilder, History, TrainConfig, Trainer, VaesaConfig, VaesaModel};
+use vaesa_accel::{DesignSpace, LayerShape};
 use vaesa_cosa::CachedScheduler;
 
-/// Command-line arguments shared by all experiment binaries.
+/// Command-line arguments shared by all experiment pipelines.
 ///
 /// Recognized flags: `--seed <u64>`, `--budget <n>`, `--fast`, `--full`,
-/// `--out <dir>`. Unknown or malformed flags are parse errors; binaries
-/// print them with [`USAGE`] and exit 2 at the call site.
+/// `--out <dir>`. Unknown or malformed flags are parse errors, which
+/// `vaesa-cli flow run` prints with [`USAGE`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Args {
     /// Base RNG seed (default 0; multi-seed experiments offset from it).
@@ -54,24 +53,12 @@ impl Default for Args {
     }
 }
 
-/// The usage line shared by every experiment binary; printed (with the
-/// parse error) at the call site before exiting.
-pub const USAGE: &str = "usage: <bin> [--seed N] [--budget N] [--fast|--full] [--out DIR]";
+/// The usage line `vaesa-cli flow run` prints with a flag parse error.
+pub const USAGE: &str =
+    "usage: vaesa-cli flow run NAME [--seed N] [--budget N] [--fast|--full] [--out DIR]";
 
 impl Args {
-    /// Parses `std::env::args`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the malformed or unknown flag.
-    /// Binaries print it with [`USAGE`] and exit at the call site; library
-    /// callers (the flow runtime, tests) handle it like any other error.
-    pub fn parse() -> Result<Self, String> {
-        Self::parse_from(std::env::args().skip(1))
-    }
-
-    /// Parses an explicit argument list (what [`Args::parse`] does to the
-    /// process arguments).
+    /// Parses an argument list such as the flags after `flow run NAME`.
     ///
     /// # Errors
     ///
@@ -129,11 +116,11 @@ impl Args {
 }
 
 /// Seeds the global observability registry with one run's context: the
-/// binary name, a deterministic run id, the RNG seed, scale, budget
+/// pipeline name, a deterministic run id, the RNG seed, scale, budget
 /// override, worker-pool size, active numeric precision, detected CPU SIMD
 /// features, and (when available) the git revision.
 ///
-/// Every experiment binary calls this first, so the `run` record of the
+/// [`pipelines::run`] calls this first, so the `run` record of the
 /// manifest it writes on exit identifies the run completely. An f32-mode
 /// run (`VAESA_PRECISION=f32`) gets a `-f32` run-id suffix so its telemetry
 /// history never mixes with the bit-exact f64 baseline's.
@@ -163,9 +150,8 @@ pub fn init_run_meta(bin: &str, args: &Args) {
 }
 
 /// Writes the global registry's run manifest to `<out_dir>/manifest.jsonl`,
-/// publishing `scheduler` gauges first when a scheduler is given. Binaries
-/// not built on [`ExperimentContext`] call this directly as their last
-/// step; context binaries use [`ExperimentContext::finish`].
+/// publishing `scheduler` gauges first when a scheduler is given.
+/// [`pipelines::run`] calls this as its last step.
 ///
 /// Also publishes the process's peak RSS as the `process.peak_rss_bytes`
 /// gauge, and — when tracing is enabled (`VAESA_TRACE=1`) — exports the
@@ -174,7 +160,7 @@ pub fn init_run_meta(bin: &str, args: &Args) {
 ///
 /// # Panics
 ///
-/// Panics on I/O failure — experiment binaries should fail loudly.
+/// Panics on I/O failure — experiments should fail loudly.
 pub fn write_run_manifest(out_dir: &Path, scheduler: Option<&CachedScheduler>) -> PathBuf {
     let registry = vaesa_obs::global();
     if let Some(scheduler) = scheduler {
@@ -215,27 +201,6 @@ pub fn write_run_manifest(out_dir: &Path, scheduler: Option<&CachedScheduler>) -
     path
 }
 
-/// Writes a CSV file into the output directory, creating it if needed.
-///
-/// # Panics
-///
-/// Panics on I/O failure — experiment binaries should fail loudly.
-pub fn write_csv(dir: &Path, name: &str, header: &str, rows: &[Vec<f64>]) -> PathBuf {
-    fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(name);
-    let mut f = fs::File::create(&path).expect("create csv");
-    writeln!(f, "{header}").expect("write header");
-    for row in rows {
-        let line = row
-            .iter()
-            .map(|v| format!("{v:.6e}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        writeln!(f, "{line}").expect("write row");
-    }
-    path
-}
-
 /// Writes an SVG figure into the output directory.
 ///
 /// # Panics
@@ -245,32 +210,6 @@ pub fn write_svg(dir: &Path, name: &str, svg: &str) -> PathBuf {
     fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join(name);
     fs::write(&path, svg).expect("write svg");
-    path
-}
-
-/// Writes a CSV with a leading string column (e.g. method names).
-///
-/// # Panics
-///
-/// Panics on I/O failure.
-pub fn write_labeled_csv(
-    dir: &Path,
-    name: &str,
-    header: &str,
-    rows: &[(String, Vec<f64>)],
-) -> PathBuf {
-    fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(name);
-    let mut f = fs::File::create(&path).expect("create csv");
-    writeln!(f, "{header}").expect("write header");
-    for (label, row) in rows {
-        let nums = row
-            .iter()
-            .map(|v| format!("{v:.6e}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        writeln!(f, "{label},{nums}").expect("write row");
-    }
     path
 }
 
@@ -335,109 +274,9 @@ impl Default for Setup {
     }
 }
 
-/// A fully-built standard experiment: CLI args, the paper design space with
-/// its shared scheduler, the Table III training dataset, and a trained
-/// VAESA model.
-///
-/// Every figure/ablation binary used to open with the same copy-pasted
-/// prologue (parse args, pick sizes, build dataset, train); they now call
-/// [`ExperimentContext::build`] and get the pieces plus ready-made
-/// [`HardwareEvaluator`]/[`DseDriver`] constructors. The builder reproduces
-/// the historical RNG streams exactly (dataset on stream 1 000, training on
-/// stream 2 000 + latent dim), so migrated binaries emit bit-identical
-/// artifacts.
-#[derive(Debug)]
-pub struct ExperimentContext {
-    /// Parsed CLI arguments.
-    pub args: Args,
-    /// Design space + shared memoizing scheduler.
-    pub setup: Setup,
-    /// Number of random configs the dataset was built from.
-    pub n_configs: usize,
-    /// Epochs the model was trained for; binaries reuse this knob for
-    /// auxiliary models (input-space predictors, fine-tuning).
-    pub epochs: usize,
-    /// The labeled training dataset over the Table III layer pool.
-    pub dataset: Dataset,
-    /// The trained VAESA model.
-    pub model: VaesaModel,
-    /// Training history of `model`.
-    pub history: History,
-}
-
-impl ExperimentContext {
-    /// Builds the standard context: 4-D latent space, α = 1e-4, dataset and
-    /// epoch sizes scaled by `--fast`/`--full`.
-    pub fn build(args: Args) -> Self {
-        Self::with_latent(args, 4, 1e-4)
-    }
-
-    /// Like [`ExperimentContext::build`] with an explicit latent dimension
-    /// and KL weight, for the ablations that sweep them.
-    pub fn with_latent(args: Args, latent_dim: usize, alpha: f64) -> Self {
-        let setup = Setup::new();
-        let pool = workloads::training_layers();
-        let n_configs = args.pick(60, 400, 1200);
-        let epochs = args.pick(10, 40, 80);
-        vaesa_obs::progress!(
-            "building dataset ({n_configs} configs) and training {latent_dim}-D VAESA \
-             ({epochs} epochs)..."
-        );
-        let dataset = {
-            let _span = vaesa_obs::span("bench/dataset");
-            setup.dataset(&pool, n_configs, &args)
-        };
-        let (model, history) = {
-            let _span = vaesa_obs::span("bench/train");
-            setup.train(&dataset, latent_dim, alpha, epochs, &args)
-        };
-        ExperimentContext {
-            args,
-            setup,
-            n_configs,
-            epochs,
-            dataset,
-            model,
-            history,
-        }
-    }
-
-    /// An evaluator scoring `layers` through the shared cached scheduler.
-    pub fn evaluator_for<'a>(&'a self, layers: &'a [LayerShape]) -> HardwareEvaluator<'a> {
-        HardwareEvaluator::new(&self.setup.space, &self.setup.scheduler, layers)
-    }
-
-    /// A DSE driver over `evaluator` with the trained model wired in, ready
-    /// for both [`vaesa::SpaceMode`] variants.
-    pub fn driver<'a>(&'a self, evaluator: &'a HardwareEvaluator<'a>) -> DseDriver<'a> {
-        DseDriver::new(evaluator, &self.dataset).with_model(&self.model)
-    }
-
-    /// Prints the shared scheduler cache's hit/miss summary.
-    pub fn report_cache_stats(&self) {
-        report_cache_stats(&self.setup.scheduler);
-    }
-
-    /// Ends the run: reports the scheduler cache summary and writes the run
-    /// manifest (scheduler gauges included) to `<out>/manifest.jsonl`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on I/O failure.
-    pub fn finish(&self) -> PathBuf {
-        self.report_cache_stats();
-        write_run_manifest(&self.args.out_dir, Some(&self.setup.scheduler))
-    }
-}
-
-/// Formats a mean ± std pair the way the paper's tables read.
-pub fn fmt_mean_std(mean: f64, std: f64) -> String {
-    format!("{mean:.3e} ± {std:.2e}")
-}
-
 /// Reports the scheduler cache's hit/miss summary (stderr + manifest
-/// event); the DSE flow binaries call this last so the memoization payoff
-/// of each run is visible.
+/// event); the DSE pipelines call this last so the memoization payoff of
+/// each run is visible.
 pub fn report_cache_stats(scheduler: &CachedScheduler) {
     vaesa_obs::progress!("scheduler cache: {}", scheduler.cache_stats());
 }
@@ -525,58 +364,11 @@ mod tests {
     }
 
     #[test]
-    fn csv_writers_produce_files() {
-        let dir = std::env::temp_dir().join("vaesa_bench_test_csv");
-        let p = write_csv(&dir, "t.csv", "a,b", &[vec![1.0, 2.0]]);
-        let content = std::fs::read_to_string(p).unwrap();
-        assert!(content.starts_with("a,b\n"));
-        assert!(content.contains("1.0"));
-        let p = write_labeled_csv(&dir, "l.csv", "m,a", &[("bo".to_string(), vec![3.0])]);
-        let content = std::fs::read_to_string(p).unwrap();
-        assert!(content.contains("bo,"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn svg_writer_produces_files() {
         let dir = std::env::temp_dir().join("vaesa_bench_test_svg");
         let p = write_svg(&dir, "t.svg", "<svg></svg>");
         assert_eq!(std::fs::read_to_string(p).unwrap(), "<svg></svg>");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn experiment_context_driver_runs_both_modes() {
-        use vaesa::SpaceMode;
-        use vaesa_dse::RandomEngine;
-
-        // Assemble a tiny context by hand — the standard `build` pipeline is
-        // CI-sized, while this only checks the evaluator/driver wiring.
-        let args = Args {
-            scale: 0,
-            ..Args::default()
-        };
-        let setup = Setup::new();
-        let layers = vec![workloads::alexnet()[2].clone()];
-        let dataset = setup.dataset(&layers, 12, &args);
-        let model = VaesaModel::new(VaesaConfig::paper().with_latent_dim(2), &mut args.rng(9));
-        let ctx = ExperimentContext {
-            args,
-            setup,
-            n_configs: 12,
-            epochs: 0,
-            dataset,
-            model,
-            history: History::default(),
-        };
-        let evaluator = ctx.evaluator_for(&layers);
-        for (mode, stream) in [(SpaceMode::Direct, 10), (SpaceMode::Latent, 11)] {
-            let trace =
-                ctx.driver(&evaluator)
-                    .run(&RandomEngine, mode, 5, &mut ctx.args.rng(stream));
-            assert_eq!(trace.len(), 5);
-        }
-        ctx.report_cache_stats();
     }
 
     #[test]

@@ -14,11 +14,11 @@ use rand_chacha::ChaCha8Rng;
 
 use super::util;
 use super::{dataset_node, train_node, PipelineEnv, TrainArtifact};
-use vaesa::flows::{decode_to_config, latent_box, run_vae_bo, HardwareEvaluator};
-use vaesa::{Dataset, DseDriver, Record, SpaceMode, TrainConfig, Trainer};
+use vaesa::flows::{decode_to_config, latent_box, HardwareEvaluator};
+use vaesa::{Dataset, DseDriver, Record, SpaceMode, TrainConfig, Trainer, VaesaModel};
 use vaesa_accel::{workloads, ArchDescription};
 use vaesa_cosa::{random_mapping, Scheduler};
-use vaesa_dse::{engine_by_name, BayesOpt, BoxSpace, FnObjective};
+use vaesa_dse::{engine_by_name, BayesOpt, BoEngine, BoxSpace, FnObjective};
 use vaesa_flow::{format_csv, format_labeled_csv, FlowGraph, NodeSpec, StageKind, Value};
 use vaesa_linalg::stats;
 use vaesa_timeloop::{CostModel, Mapping, NocModel};
@@ -300,11 +300,19 @@ pub(super) fn build_finetune(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String
                     let resnet = workloads::resnet50();
                     let evaluator =
                         HardwareEvaluator::new(&env2.setup.space, &env2.setup.scheduler, &resnet);
+                    let vae_bo = |model: &VaesaModel, dataset: &Dataset, rng: &mut ChaCha8Rng| {
+                        DseDriver::new(&evaluator, dataset).with_model(model).run(
+                            &BoEngine::default(),
+                            SpaceMode::Latent,
+                            round,
+                            rng,
+                        )
+                    };
 
                     // Round 1 (shared): explore with the freshly trained
                     // model.
                     let mut rng = env2.args.rng(70_000 + seed as u64);
-                    let round1 = run_vae_bo(&evaluator, model, &dataset, round, &mut rng);
+                    let round1 = vae_bo(model, &dataset, &mut rng);
 
                     // Fold the evaluated designs back into the dataset as
                     // per-layer records.
@@ -334,7 +342,7 @@ pub(super) fn build_finetune(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String
 
                     // Branch A: continue with the frozen model.
                     let mut rng = env2.args.rng(71_000 + seed as u64);
-                    let frozen = run_vae_bo(&evaluator, model, &dataset, round, &mut rng);
+                    let frozen = vae_bo(model, &dataset, &mut rng);
                     let frozen_best = frozen
                         .best_value()
                         .unwrap_or(f64::NAN)
@@ -352,7 +360,7 @@ pub(super) fn build_finetune(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String
                     })
                     .train_vae(&mut tuned, &extended, &mut rng);
                     let mut rng = env2.args.rng(71_000 + seed as u64); // same budget RNG as branch A
-                    let fine = run_vae_bo(&evaluator, &tuned, &extended, round, &mut rng);
+                    let fine = vae_bo(&tuned, &extended, &mut rng);
                     let finetuned_best = fine
                         .best_value()
                         .unwrap_or(f64::NAN)

@@ -10,11 +10,11 @@ use std::sync::Arc;
 
 use super::util;
 use super::{dataset_node, train_node, PipelineEnv, TrainArtifact};
-use vaesa::flows::{decode_to_config, run_bo, run_random, run_vae_bo, HardwareEvaluator};
+use vaesa::flows::{decode_to_config, HardwareEvaluator};
 use vaesa::report::{Comparison, MethodRuns};
-use vaesa::Dataset;
+use vaesa::{Dataset, DseDriver, SpaceMode};
 use vaesa_accel::Network;
-use vaesa_dse::Trace;
+use vaesa_dse::{BoEngine, RandomEngine, Trace};
 use vaesa_flow::{format_csv, CachePolicy, FlowGraph, NodeSpec, StageKind, Value};
 use vaesa_linalg::stats;
 use vaesa_plot::{LineChart, Series};
@@ -82,29 +82,18 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
                     let layers = network.layers();
                     let evaluator =
                         HardwareEvaluator::new(&env2.setup.space, &env2.setup.scheduler, &layers);
+                    let driver = DseDriver::new(&evaluator, &dataset).with_model(&trained.0);
+                    let bo = BoEngine::default();
                     let mut traces: Vec<Vec<Trace>> = vec![Vec::new(); 3];
                     for seed in 0..seeds {
-                        let stream = |m: u64| 10_000 + (w as u64) * 100 + (seed as u64) * 10 + m;
+                        let rng = |m: u64| {
+                            env2.args
+                                .rng(10_000 + (w as u64) * 100 + (seed as u64) * 10 + m)
+                        };
                         let runs = [
-                            run_random(
-                                &evaluator,
-                                &dataset.hw_norm,
-                                budget,
-                                &mut env2.args.rng(stream(0)),
-                            ),
-                            run_bo(
-                                &evaluator,
-                                &dataset.hw_norm,
-                                budget,
-                                &mut env2.args.rng(stream(1)),
-                            ),
-                            run_vae_bo(
-                                &evaluator,
-                                &trained.0,
-                                &dataset,
-                                budget,
-                                &mut env2.args.rng(stream(2)),
-                            ),
+                            driver.run(&RandomEngine, SpaceMode::Direct, budget, &mut rng(0)),
+                            driver.run(&bo, SpaceMode::Direct, budget, &mut rng(1)),
+                            driver.run(&bo, SpaceMode::Latent, budget, &mut rng(2)),
                         ];
                         for (m, trace) in runs.into_iter().enumerate() {
                             traces[m].push(trace);

@@ -11,10 +11,10 @@ use std::sync::Arc;
 
 use super::util;
 use super::{dataset_node, train_node, PipelineEnv, TrainArtifact};
-use vaesa::flows::{run_gd, run_random_layer, run_vae_gd, HardwareEvaluator};
-use vaesa::{Dataset, InputPredictors, TrainConfig, Trainer};
+use vaesa::flows::HardwareEvaluator;
+use vaesa::{Dataset, DseDriver, InputPredictors, SpaceMode, TrainConfig, Trainer};
 use vaesa_accel::workloads;
-use vaesa_dse::GdConfig;
+use vaesa_dse::{GdEngine, RandomEngine};
 use vaesa_flow::{format_csv, CachePolicy, FlowGraph, NodeSpec, StageKind, Value};
 use vaesa_linalg::stats;
 use vaesa_plot::{LineChart, Series};
@@ -106,35 +106,21 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
                     let single = vec![layer.clone()];
                     let evaluator =
                         HardwareEvaluator::new(&env2.setup.space, &env2.setup.scheduler, &single);
-                    let gd_cfg = GdConfig::default();
+                    let driver = DseDriver::new(&evaluator, &dataset)
+                        .with_model(&trained.0)
+                        .with_input_predictors(&input_preds)
+                        .with_gd_layer(&layer);
+                    let gd = GdEngine::default();
                     let mut per_layer: [Vec<Vec<f64>>; 3] = [Vec::new(), Vec::new(), Vec::new()];
                     for seed in 0..seeds {
-                        let stream = |m: u64| 20_000 + (li as u64) * 100 + (seed as u64) * 10 + m;
+                        let rng = |m: u64| {
+                            env2.args
+                                .rng(20_000 + (li as u64) * 100 + (seed as u64) * 10 + m)
+                        };
                         let traces = [
-                            run_vae_gd(
-                                &evaluator,
-                                &trained.0,
-                                &dataset,
-                                &layer,
-                                samples,
-                                gd_cfg,
-                                &mut env2.args.rng(stream(0)),
-                            ),
-                            run_gd(
-                                &evaluator,
-                                &input_preds,
-                                &dataset,
-                                &layer,
-                                samples,
-                                gd_cfg,
-                                &mut env2.args.rng(stream(1)),
-                            ),
-                            run_random_layer(
-                                &evaluator,
-                                &dataset.hw_norm,
-                                samples,
-                                &mut env2.args.rng(stream(2)),
-                            ),
+                            driver.run(&gd, SpaceMode::Latent, samples, &mut rng(0)),
+                            driver.run(&gd, SpaceMode::Direct, samples, &mut rng(1)),
+                            driver.run(&RandomEngine, SpaceMode::Direct, samples, &mut rng(2)),
                         ];
                         for (m, t) in traces.iter().enumerate() {
                             per_layer[m].push(util::filled(t, samples));

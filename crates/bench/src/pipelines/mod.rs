@@ -1,14 +1,13 @@
-//! Declarative pipeline specs for every experiment binary.
+//! Declarative pipeline specs for every experiment.
 //!
-//! Each of the 16 figure/ablation binaries is a named [`vaesa_flow`]
+//! Each of the 16 figure/ablation experiments is a named [`vaesa_flow`]
 //! pipeline here: a [`FlowGraph`] of dataset → train → search →
 //! render/CSV/report nodes whose artifacts are content-hash cached under
-//! `results/cache/flow/`. The binaries themselves are thin shims — parse
-//! [`Args`], call [`run`] — and `vaesa-cli flow run <name>` drives the
-//! same registry.
+//! `results/cache/flow/`. `vaesa-cli flow run <name>` parses [`Args`] and
+//! calls [`run`]; it is the one way to run an experiment.
 //!
-//! Porting preserved the historical RNG streams of every binary, so a
-//! pipeline writes byte-identical CSV/SVG artifacts to its pre-flow
+//! Every node keeps the RNG stream of the experiment it was ported from,
+//! so a pipeline writes byte-identical CSV/SVG artifacts to its pre-flow
 //! predecessor at the same seed/scale/precision.
 //! `fig12_fast_artifacts_match_pinned_digests` in `tests.rs` pins the
 //! seed-0 Fig. 12 artifacts; the benchmark in `perfbench/` pins Fig. 12
@@ -22,15 +21,14 @@
 //!   counters — so independent nodes (the `train`/`input_preds` pair, the
 //!   per-layer or per-network searches) overlap on the `vaesa-par` pool.
 //!   Their `train.*`/`dse.*` series land in per-node observability scopes
-//!   that the runner commits in declaration order, exactly the state the
-//!   straight-line binaries left.
+//!   that the runner commits in declaration order, exactly the state a
+//!   straight-line run leaves.
 //! - dataset/train outputs are in-memory ([`Value::mem`]) and use
 //!   [`CachePolicy::Stamp`]; search/report/CSV/SVG outputs are encodable
 //!   and persist, which is what lets a warm re-run rebuild every artifact
 //!   without recomputing anything.
 //! - CSV nodes format through [`vaesa_flow::format_csv`] /
-//!   [`vaesa_flow::format_labeled_csv`] — the single shared writer that
-//!   replaced the per-binary copies.
+//!   [`vaesa_flow::format_labeled_csv`], the single shared CSV writer.
 
 pub(crate) mod util;
 
@@ -91,14 +89,13 @@ pub enum ManifestMode {
     Plain,
     /// Manifest with scheduler gauges.
     Scheduler,
-    /// Scheduler cache summary (stderr + event) and scheduler gauges —
-    /// what `ExperimentContext::finish` used to do.
+    /// Scheduler cache summary (stderr + event) and scheduler gauges.
     SchedulerStats,
 }
 
 /// One named pipeline in the registry.
 pub struct PipelineSpec {
-    /// Registry name — identical to the historical binary name.
+    /// Registry name, as `vaesa-cli flow run` takes it.
     pub name: &'static str,
     /// One-line description for `flow list`.
     pub summary: &'static str,

@@ -11,10 +11,11 @@ use std::sync::Arc;
 
 use super::util;
 use super::{dataset_node, train_node, PipelineEnv, TrainArtifact};
-use vaesa::flows::{decode_to_config, run_random, run_vae_bo, HardwareEvaluator};
+use vaesa::flows::{decode_to_config, HardwareEvaluator};
 use vaesa::pareto::{pareto_front, summarize_front, ScoredDesign};
-use vaesa::Dataset;
+use vaesa::{Dataset, DseDriver, SpaceMode};
 use vaesa_accel::workloads;
+use vaesa_dse::{BoEngine, RandomEngine};
 use vaesa_flow::{format_csv, FlowGraph, NodeSpec, StageKind, Value};
 use vaesa_plot::ScatterChart;
 
@@ -44,7 +45,12 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
                 let evaluator =
                     HardwareEvaluator::new(&env2.setup.space, &env2.setup.scheduler, &resnet);
                 let mut rng = env2.args.rng(80_000);
-                let trace = run_random(&evaluator, &dataset.hw_norm, budget, &mut rng);
+                let trace = DseDriver::new(&evaluator, &dataset).run(
+                    &RandomEngine,
+                    SpaceMode::Direct,
+                    budget,
+                    &mut rng,
+                );
                 Ok(util::trace_value(&trace))
             }),
     );
@@ -65,7 +71,9 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
                 let evaluator =
                     HardwareEvaluator::new(&env2.setup.space, &env2.setup.scheduler, &resnet);
                 let mut rng = env2.args.rng(80_001);
-                let trace = run_vae_bo(&evaluator, &trained.0, &dataset, budget, &mut rng);
+                let trace = DseDriver::new(&evaluator, &dataset)
+                    .with_model(&trained.0)
+                    .run(&BoEngine::default(), SpaceMode::Latent, budget, &mut rng);
                 Ok(util::trace_value(&trace))
             }),
     );

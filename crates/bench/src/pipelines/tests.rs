@@ -27,7 +27,7 @@ fn config(seed: u64) -> RunConfig {
 }
 
 #[test]
-fn registry_covers_every_binary_once() {
+fn registry_covers_every_pipeline_once() {
     let specs = registry();
     assert_eq!(specs.len(), 16);
     let mut names: Vec<&str> = specs.iter().map(|s| s.name).collect();

@@ -60,6 +60,6 @@ pub use data::{rand_uniform, randn, randn_into, Batcher};
 pub use graph::{finite_diff_check, Graph, VarId};
 pub use layers::{Activation, Linear, Mlp, MlpPass, Param};
 pub use optim::{Adam, Sgd};
-pub use simd32::{f32_accum_mode, F32Accum, TensorF32};
+pub use simd32::TensorF32;
 pub use tensor::Tensor;
 pub use vaesa_linalg::{cpu_features, set_precision, Precision};

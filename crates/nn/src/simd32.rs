@@ -18,11 +18,8 @@
 //! handled by the `cpu_features` manifest line (see DESIGN.md, "Precision
 //! policy").
 //!
-//! `matmul_transpose_b` optionally switches to reduction dot products with
-//! `f64` running sums ([`F32Accum::F64`], selected by `VAESA_F32_ACCUM=f64`)
-//! for workloads where the inner dimension is long enough for `f32`
-//! round-off to bite; its default `f32`-accumulate path materializes `Bᵀ`
-//! and reuses the panel matmul kernel.
+//! `matmul_transpose_b` materializes `Bᵀ` and reuses the panel matmul
+//! kernel, so every product accumulates in `f32` through the same kernel.
 
 use std::sync::{Arc, OnceLock};
 
@@ -33,29 +30,6 @@ use std::sync::{Arc, OnceLock};
 fn f32_matmuls() -> &'static Arc<vaesa_obs::Counter> {
     static C: OnceLock<Arc<vaesa_obs::Counter>> = OnceLock::new();
     C.get_or_init(|| vaesa_obs::counter("nn.f32.matmuls"))
-}
-
-/// Accumulation width used by the `matmul_transpose_b` reduction panels when
-/// the f32 backend is active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum F32Accum {
-    /// Accumulate dot products in `f32` (the default; fastest).
-    F32,
-    /// Round operands to `f32` but accumulate their products in `f64`,
-    /// halving the SIMD width of the reduction in exchange for error that
-    /// stays O(ulp) in the inner dimension.
-    F64,
-}
-
-/// The process-wide [`F32Accum`] mode: `VAESA_F32_ACCUM=f64` selects
-/// [`F32Accum::F64`], anything else (including unset) the `f32` default.
-/// Read once and cached.
-pub fn f32_accum_mode() -> F32Accum {
-    static M: OnceLock<F32Accum> = OnceLock::new();
-    *M.get_or_init(|| match std::env::var("VAESA_F32_ACCUM") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("f64") => F32Accum::F64,
-        _ => F32Accum::F32,
-    })
 }
 
 /// SIMD tier selected once per process from runtime feature detection.
@@ -399,70 +373,6 @@ fn matmul_block_kernel() -> MatmulBlock {
 }
 
 // ---------------------------------------------------------------------------
-// matmul_transpose_b, wide-accumulate variant: contiguous dot products with
-// f64 running sums. (The default f32-accumulate variant instead materializes
-// Bᵀ and reuses the panel matmul kernel above — see `matmul_tb_rows`.)
-// ---------------------------------------------------------------------------
-
-#[inline(always)]
-fn tb_row_acc64_body(a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
-    let inner = a_row.len();
-    for (j, o) in out_row.iter_mut().enumerate() {
-        let b_row = &b[j * inner..][..inner];
-        let a8 = a_row.chunks_exact(8);
-        let b8 = b_row.chunks_exact(8);
-        let (ra, rb) = (a8.remainder(), b8.remainder());
-        // Operands are f32, products and the running sums are f64: the
-        // optional wide-accumulate mode for reduction-heavy panels. Eight
-        // independent lanes; the lane layout (and thus the result) is fixed
-        // regardless of thread count or SIMD width.
-        let mut acc = [0.0f64; 8];
-        for (ca, cb) in a8.zip(b8) {
-            for t in 0..8 {
-                acc[t] += f64::from(ca[t]) * f64::from(cb[t]);
-            }
-        }
-        let mut tail = 0.0f64;
-        for (&a, &b) in ra.iter().zip(rb) {
-            tail += f64::from(a) * f64::from(b);
-        }
-        let sum = ((acc[0] + acc[1]) + (acc[2] + acc[3]))
-            + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-            + tail;
-        *o = sum as f32;
-    }
-}
-
-type TbRow = unsafe fn(&[f32], &[f32], &mut [f32]);
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn tb_row_avx512_acc64(a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
-    tb_row_acc64_body(a_row, b, out_row)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn tb_row_avx2_acc64(a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
-    tb_row_acc64_body(a_row, b, out_row)
-}
-
-/// `unsafe` only to share the dispatch-table signature; always safe to call.
-unsafe fn tb_row_scalar_acc64(a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
-    tb_row_acc64_body(a_row, b, out_row)
-}
-
-fn tb_row_acc64_kernel() -> TbRow {
-    match simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => tb_row_avx512_acc64,
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => tb_row_avx2_acc64,
-        _ => tb_row_scalar_acc64,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Elementwise: leaky ReLU fused with the f64<->f32 round trip — one pass
 // that narrows each lane to f32, selects branch-free, and widens back.
 // No intermediate f32 buffers; the select multiply carries no FMA, so the
@@ -592,38 +502,17 @@ pub(crate) fn matmul_ta_into(
     write_f64(&out32, out);
 }
 
-fn matmul_tb_rows(
-    a32: &[f32],
-    b32: &[f32],
-    m: usize,
-    inner: usize,
-    n: usize,
-    accum: F32Accum,
-    out32: &mut [f32],
-) {
-    match accum {
-        F32Accum::F32 => {
-            // Materializing Bᵀ once (an O(n·inner) copy) turns every output
-            // row into the same contiguous panel product the plain matmul
-            // kernel runs — ~3x faster on the backward-pass shapes than
-            // strided per-element dot products.
-            let bt = transpose_f32(b32, n, inner);
-            matmul_rows(a32, &bt, m, inner, n, out32);
-        }
-        F32Accum::F64 => {
-            let kernel = tb_row_acc64_kernel();
-            crate::tensor::run_rowwise(out32, n, m * n * inner, |i, out_row| {
-                // SAFETY: the kernel was selected under runtime feature
-                // detection.
-                unsafe { kernel(&a32[i * inner..(i + 1) * inner], b32, out_row) }
-            });
-        }
-    }
+fn matmul_tb_rows(a32: &[f32], b32: &[f32], m: usize, inner: usize, n: usize, out32: &mut [f32]) {
+    // Materializing Bᵀ once (an O(n·inner) copy) turns every output row into
+    // the same contiguous panel product the plain matmul kernel runs — ~3x
+    // faster on the backward-pass shapes than strided per-element dot
+    // products.
+    let bt = transpose_f32(b32, n, inner);
+    matmul_rows(a32, &bt, m, inner, n, out32);
 }
 
 /// `out = A * Bᵀ` through the f32 backend; shapes as in
 /// `Tensor::matmul_transpose_b` (`A` is `m x inner`, `B` is `n x inner`).
-/// Accumulation width follows [`f32_accum_mode`].
 pub(crate) fn matmul_tb_into(
     a: &[f64],
     b: &[f64],
@@ -635,18 +524,10 @@ pub(crate) fn matmul_tb_into(
     f32_matmuls().incr();
     let a32 = to_f32(a);
     let mut out32 = vec![0.0f32; m * n];
-    match f32_accum_mode() {
-        F32Accum::F32 => {
-            // Bᵀ is materialized straight from the f64 source (narrow and
-            // transpose in one sweep), then the plain panel kernel runs.
-            let bt = transpose_to_f32(b, n, inner);
-            matmul_rows(&a32, &bt, m, inner, n, &mut out32);
-        }
-        F32Accum::F64 => {
-            let b32 = to_f32(b);
-            matmul_tb_rows(&a32, &b32, m, inner, n, F32Accum::F64, &mut out32);
-        }
-    }
+    // Bᵀ is materialized straight from the f64 source (narrow and transpose
+    // in one sweep), then the plain panel kernel runs.
+    let bt = transpose_to_f32(b, n, inner);
+    matmul_rows(&a32, &bt, m, inner, n, &mut out32);
     write_f64(&out32, out);
 }
 
@@ -932,24 +813,12 @@ impl TensorF32 {
         out
     }
 
-    /// Fused product `self * otherᵀ` with the accumulation width from
-    /// [`f32_accum_mode`].
+    /// Fused product `self * otherᵀ`.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_transpose_b(&self, other: &TensorF32) -> TensorF32 {
-        self.matmul_transpose_b_with(other, f32_accum_mode())
-    }
-
-    /// [`TensorF32::matmul_transpose_b`] with an explicit [`F32Accum`],
-    /// letting tests and callers pick the wide-accumulate variant without
-    /// touching the environment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()`.
-    pub fn matmul_transpose_b_with(&self, other: &TensorF32, accum: F32Accum) -> TensorF32 {
         assert_eq!(
             self.cols, other.cols,
             "matmul_transpose_b: inner dimensions differ ({} vs {})",
@@ -960,7 +829,7 @@ impl TensorF32 {
         if m == 0 || n == 0 || inner == 0 {
             return out;
         }
-        matmul_tb_rows(&self.data, &other.data, m, inner, n, accum, &mut out.data);
+        matmul_tb_rows(&self.data, &other.data, m, inner, n, &mut out.data);
         out
     }
 }
@@ -1016,34 +885,10 @@ mod tests {
             .matmul_transpose_a(&b32)
             .to_f64()
             .approx_eq(&a.matmul_transpose_a(&b), tol));
-        for accum in [F32Accum::F32, F32Accum::F64] {
-            assert!(a32
-                .matmul_transpose_b_with(&c32, accum)
-                .to_f64()
-                .approx_eq(&a.matmul_transpose_b(&c), tol));
-        }
-    }
-
-    #[test]
-    fn f32_wide_accumulate_is_at_least_as_accurate() {
-        // On a long reduction the f64-accumulate variant must not be worse
-        // than plain f32 accumulation.
-        let a = pattern(2, 4096, 21);
-        let b = pattern(3, 4096, 22);
-        let exact = a.matmul_transpose_b(&b);
-        let (a32, b32) = (TensorF32::from_f64(&a), TensorF32::from_f64(&b));
-        let err = |t: &Tensor| -> f64 {
-            t.as_slice()
-                .iter()
-                .zip(exact.as_slice())
-                .fold(0.0f64, |m, (&x, &y)| m.max((x - y).abs()))
-        };
-        let narrow = err(&a32.matmul_transpose_b_with(&b32, F32Accum::F32).to_f64());
-        let wide = err(&a32.matmul_transpose_b_with(&b32, F32Accum::F64).to_f64());
-        assert!(
-            wide <= narrow + 1e-12,
-            "wide accumulate lost accuracy: wide={wide} narrow={narrow}"
-        );
+        assert!(a32
+            .matmul_transpose_b(&c32)
+            .to_f64()
+            .approx_eq(&a.matmul_transpose_b(&c), tol));
     }
 
     #[test]

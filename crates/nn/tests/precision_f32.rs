@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Mutex;
-use vaesa_nn::{randn, set_precision, F32Accum, Precision, Tensor, TensorF32};
+use vaesa_nn::{randn, set_precision, Precision, Tensor, TensorF32};
 
 /// Scalar f64 reference matmul that never consults the global precision
 /// mode, so these tests stay correct even if another test in this binary is
@@ -87,8 +87,8 @@ proptest! {
         assert_within_f32_bound(got.as_slice(), &want, &mags, k)?;
     }
 
-    /// The fused-transpose variants (`AᵀB` and `ABᵀ`, both accumulation
-    /// modes) satisfy the same bound.
+    /// The fused-transpose variants (`AᵀB` and `ABᵀ`) satisfy the same
+    /// bound.
     #[test]
     fn f32_transpose_matmuls_within_bound(
         seed in 0u64..1000,
@@ -123,10 +123,8 @@ proptest! {
         }
         let want = ref_matmul(&a, &bt, m, k, n);
         let mags = abs_matmul(&a, &bt, m, k, n);
-        for accum in [F32Accum::F32, F32Accum::F64] {
-            let got = a32.matmul_transpose_b_with(&b32, accum).to_f64();
-            assert_within_f32_bound(got.as_slice(), &want, &mags, k)?;
-        }
+        let got = a32.matmul_transpose_b(&b32).to_f64();
+        assert_within_f32_bound(got.as_slice(), &want, &mags, k)?;
     }
 }
 

@@ -41,44 +41,29 @@ pub enum SpaceMode {
 }
 
 /// Everything needed to run any engine in any mode against one workload:
-/// the evaluator (space + scheduler + layers + metric), the feature
-/// normalizer, and — when available — the trained model, the dataset, the
+/// the evaluator (space + scheduler + layers + metric), the dataset (whose
+/// normalizers map both spaces back to designs and whose statistics weight
+/// the gradient proxies), and — when configured — the trained model, the
 /// proxy layer for gradient engines, and input-space predictors.
 ///
-/// Built once per experiment and reused across engines; the legacy
-/// `flows::run_*` entry points are thin shims over this type.
+/// Built once per experiment and reused across engines; it is the only
+/// way to run a search.
 #[derive(Debug)]
 pub struct DseDriver<'a> {
     evaluator: &'a HardwareEvaluator<'a>,
-    hw_norm: &'a Normalizer,
-    dataset: Option<&'a Dataset>,
+    dataset: &'a Dataset,
     model: Option<&'a VaesaModel>,
     gd_layer: Option<&'a LayerShape>,
     predictors: Option<&'a InputPredictors>,
 }
 
 impl<'a> DseDriver<'a> {
-    /// A driver with the full dataset context (normalizers for both spaces
-    /// and the statistics the gradient proxies need).
+    /// A driver for direct-mode engines; the builder methods below enable
+    /// latent mode and the gradient engines.
     pub fn new(evaluator: &'a HardwareEvaluator<'a>, dataset: &'a Dataset) -> Self {
         DseDriver {
             evaluator,
-            hw_norm: &dataset.hw_norm,
-            dataset: Some(dataset),
-            model: None,
-            gd_layer: None,
-            predictors: None,
-        }
-    }
-
-    /// A direct-mode-only driver from just a feature normalizer, for
-    /// callers without a dataset in scope. Latent mode and gradient
-    /// engines need [`DseDriver::new`].
-    pub fn direct(evaluator: &'a HardwareEvaluator<'a>, hw_norm: &'a Normalizer) -> Self {
-        DseDriver {
-            evaluator,
-            hw_norm,
-            dataset: None,
+            dataset,
             model: None,
             gd_layer: None,
             predictors: None,
@@ -110,9 +95,8 @@ impl<'a> DseDriver<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `mode` is latent without [`DseDriver::with_model`] (and a
-    /// dataset), or if `engine` needs a gradient proxy the driver is not
-    /// configured for.
+    /// Panics if `mode` is latent without [`DseDriver::with_model`], or if
+    /// `engine` needs a gradient proxy the driver is not configured for.
     pub fn run(
         &self,
         engine: &dyn SearchEngine,
@@ -124,18 +108,17 @@ impl<'a> DseDriver<'a> {
         // through), plus the trace's trajectory/budget record — search
         // itself runs uninstrumented.
         let run_span = vaesa_obs::global().span("dse/run");
+        let (dataset, metric) = (self.dataset, self.evaluator.metric());
         let trace = match mode {
             SpaceMode::Direct => {
                 let space = BoxSpace::unit(crate::HW_FEATURES);
-                let proxy = match (self.predictors, self.gd_layer, self.dataset) {
-                    (Some(p), Some(layer), Some(ds)) => {
-                        Some(InputProxy::new(p, ds, layer, self.evaluator.metric()))
-                    }
+                let proxy = match (self.predictors, self.gd_layer) {
+                    (Some(p), Some(layer)) => Some(InputProxy::new(p, dataset, layer, metric)),
                     _ => None,
                 };
                 let mut objective = DirectObjective {
                     evaluator: self.evaluator,
-                    hw_norm: self.hw_norm,
+                    hw_norm: &dataset.hw_norm,
                     proxy,
                 };
                 engine.run(&space, &mut objective, budget, rng)
@@ -144,13 +127,10 @@ impl<'a> DseDriver<'a> {
                 let model = self
                     .model
                     .expect("latent mode needs DseDriver::with_model(..)");
-                let dataset = self
-                    .dataset
-                    .expect("latent mode needs DseDriver::new(.., dataset)");
                 let space = latent_box(model, dataset);
                 let proxy = self
                     .gd_layer
-                    .map(|l| BatchEdpObjective::new(model, dataset, l, self.evaluator.metric()));
+                    .map(|l| BatchEdpObjective::new(model, dataset, l, metric));
                 let mut objective = LatentObjective {
                     evaluator: self.evaluator,
                     model,
@@ -351,7 +331,7 @@ mod tests {
         let ev = f.evaluator();
         let ds = f.dataset();
 
-        // Serial reference: the pre-driver `run_random` loop.
+        // Serial reference: a draw-score-record loop, one point at a time.
         let space = BoxSpace::unit(crate::HW_FEATURES);
         let mut rng = ChaCha8Rng::seed_from_u64(60);
         let mut serial = Trace::new("random");
@@ -377,7 +357,7 @@ mod tests {
     }
 
     /// The latent GD driver path must stay bit-identical to the serial
-    /// per-start descent reference (the pre-driver `run_vae_gd` loop) at
+    /// per-start descent reference (one full descent per sample) at
     /// 1/2/5 threads.
     #[test]
     fn vae_gd_driver_matches_serial_reference_trace() {

@@ -7,23 +7,17 @@
 //! or denormalized point is snapped to the nearest legal design (the
 //! "reconstructible" property) before it is scheduled and scored.
 //!
-//! Each `run_*` entry point is a thin shim over
-//! [`DseDriver`](crate::driver::DseDriver): one
+//! Every flow runs through [`DseDriver`](crate::driver::DseDriver): one
 //! [`SearchEngine`](vaesa_dse::SearchEngine) in one
-//! [`SpaceMode`](crate::driver::SpaceMode). The driver owns candidate
-//! evaluation (snap / decode / schedule, batched across the thread pool)
-//! and the `vae_` label prefixing; the shims only pick the engine and wire
-//! the trained artifacts in.
+//! [`SpaceMode`](crate::driver::SpaceMode). This module holds what the
+//! driver evaluates with — the [`HardwareEvaluator`], latent decoding and
+//! the latent search box — plus the Figure 13 per-step measurement
+//! [`vae_gd_edp_at_steps`].
 
-use crate::driver::{DseDriver, SpaceMode};
-use crate::{Dataset, InputPredictors, Normalizer, VaesaModel};
-use rand::RngCore;
+use crate::{Dataset, Normalizer, VaesaModel};
 use vaesa_accel::{ArchConfig, DesignSpace, LayerShape};
 use vaesa_cosa::CachedScheduler;
-use vaesa_dse::{
-    BoEngine, BoxSpace, CdEngine, EvoEngine, FnDifferentiable, GdConfig, GdEngine, GradientDescent,
-    RandomEngine, SaEngine, Trace,
-};
+use vaesa_dse::{BoxSpace, FnDifferentiable, GdConfig, GradientDescent};
 use vaesa_nn::Tensor;
 
 /// Which scalar the search minimizes (§IV-A2: the flow can optimize the
@@ -103,11 +97,6 @@ impl<'a> HardwareEvaluator<'a> {
     /// The metric being minimized.
     pub fn metric(&self) -> Metric {
         self.metric
-    }
-
-    /// The workload's layers.
-    pub fn layers(&self) -> &[LayerShape] {
-        self.layers
     }
 
     /// Full workload evaluation of a design point, or `None` if any layer
@@ -232,215 +221,6 @@ pub fn score_batch(
     vaesa_par::par_map(candidates, |x| evaluator.edp_of_normalized(x, hw_norm))
 }
 
-/// `random` baseline: uniform random search over the normalized input box.
-/// Candidates are scored through the parallel pool; the trace is identical
-/// to a serial draw-score loop at any thread count.
-pub fn run_random(
-    evaluator: &HardwareEvaluator<'_>,
-    hw_norm: &Normalizer,
-    budget: usize,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    DseDriver::direct(evaluator, hw_norm).run(&RandomEngine, SpaceMode::Direct, budget, rng)
-}
-
-/// `bo` baseline: Bayesian optimization directly on the normalized input
-/// box (the high-dimensional, effectively discrete space — BO must model a
-/// stepwise-constant objective here, which is the weakness VAESA addresses).
-pub fn run_bo(
-    evaluator: &HardwareEvaluator<'_>,
-    hw_norm: &Normalizer,
-    budget: usize,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    DseDriver::direct(evaluator, hw_norm).run(&BoEngine::default(), SpaceMode::Direct, budget, rng)
-}
-
-/// `vae_bo`: Bayesian optimization over the VAE latent space (Figure 6a).
-/// Each BO sample is decoded to a legal design, scheduled, and scored; the
-/// GP models the latent-space EDP surface.
-pub fn run_vae_bo(
-    evaluator: &HardwareEvaluator<'_>,
-    model: &VaesaModel,
-    dataset: &Dataset,
-    budget: usize,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    DseDriver::new(evaluator, dataset).with_model(model).run(
-        &BoEngine::default(),
-        SpaceMode::Latent,
-        budget,
-        rng,
-    )
-}
-
-/// `evo` baseline: evolutionary (genetic) search on the normalized input
-/// box — the Table I "NAAS: Evolutionary" class of optimizer, provided as
-/// an extension beyond the paper's featured strategies.
-pub fn run_evo(
-    evaluator: &HardwareEvaluator<'_>,
-    hw_norm: &Normalizer,
-    budget: usize,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    DseDriver::direct(evaluator, hw_norm).run(&EvoEngine::default(), SpaceMode::Direct, budget, rng)
-}
-
-/// `vae_evo`: evolutionary search over the VAE latent space; like
-/// [`run_vae_bo`] but with a genetic optimizer driving the sampling.
-pub fn run_vae_evo(
-    evaluator: &HardwareEvaluator<'_>,
-    model: &VaesaModel,
-    dataset: &Dataset,
-    budget: usize,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    DseDriver::new(evaluator, dataset).with_model(model).run(
-        &EvoEngine::default(),
-        SpaceMode::Latent,
-        budget,
-        rng,
-    )
-}
-
-/// `cd` baseline: greedy coordinate descent (compass search) on the
-/// normalized input box — the Table I "heuristics-driven" class. From a
-/// random point, probe each feature up and down, take the best improving
-/// move, shrink the step when stuck, and restart from a fresh random point
-/// when the step bottoms out. Every probe costs one scheduler query; the
-/// snap to the discrete design space makes the probes move between legal
-/// neighbouring designs.
-pub fn run_coordinate_descent(
-    evaluator: &HardwareEvaluator<'_>,
-    hw_norm: &Normalizer,
-    budget: usize,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    DseDriver::direct(evaluator, hw_norm).run(&CdEngine::default(), SpaceMode::Direct, budget, rng)
-}
-
-/// `sa` baseline: simulated annealing on the normalized input box.
-pub fn run_annealing(
-    evaluator: &HardwareEvaluator<'_>,
-    hw_norm: &Normalizer,
-    budget: usize,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    DseDriver::direct(evaluator, hw_norm).run(&SaEngine::default(), SpaceMode::Direct, budget, rng)
-}
-
-/// `vae_sa`: simulated annealing over the VAE latent space.
-pub fn run_vae_annealing(
-    evaluator: &HardwareEvaluator<'_>,
-    model: &VaesaModel,
-    dataset: &Dataset,
-    budget: usize,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    DseDriver::new(evaluator, dataset).with_model(model).run(
-        &SaEngine::default(),
-        SpaceMode::Latent,
-        budget,
-        rng,
-    )
-}
-
-/// `vae_gd`: gradient descent on the predictor surface in latent space
-/// (Figure 6b). Each *sample* is one full descent from a random latent
-/// start; only the final decoded design is scheduled, so a sample costs one
-/// simulator query exactly as in the paper. All starts descend in lockstep
-/// (one batched predictor pass per step) and the finals are scored through
-/// the parallel pool — bit-identical to a serial per-start loop at any
-/// thread count.
-pub fn run_vae_gd(
-    evaluator: &HardwareEvaluator<'_>,
-    model: &VaesaModel,
-    dataset: &Dataset,
-    layer: &LayerShape,
-    samples: usize,
-    gd: GdConfig,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    DseDriver::new(evaluator, dataset)
-        .with_model(model)
-        .with_gd_layer(layer)
-        .run(&GdEngine { config: gd }, SpaceMode::Latent, samples, rng)
-}
-
-/// `vae_gd` for a whole network (the paper's §IV-D outlook): descends the
-/// differentiable *sum-over-layers* EDP proxy of
-/// [`VaesaModel::predicted_network_edp_grad`] and scores the decoded design
-/// on the evaluator's full workload. One simulator query per sample, like
-/// [`run_vae_gd`].
-pub fn run_vae_gd_network(
-    evaluator: &HardwareEvaluator<'_>,
-    model: &VaesaModel,
-    dataset: &Dataset,
-    samples: usize,
-    gd: GdConfig,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    let layer_rows: Vec<Vec<f64>> = evaluator
-        .layers()
-        .iter()
-        .map(|l| dataset.layer_norm.transform_row(&l.features()))
-        .collect();
-    let layer_refs: Vec<&[f64]> = layer_rows.iter().map(Vec::as_slice).collect();
-    let layers_n = Tensor::from_rows(&layer_refs);
-    let lat_affine = (
-        dataset.latency_norm.log_range()[0],
-        dataset.latency_norm.log_min()[0],
-    );
-    let en_affine = (
-        dataset.energy_norm.log_range()[0],
-        dataset.energy_norm.log_min()[0],
-    );
-    let space = latent_box(model, dataset);
-    let driver = GradientDescent::new(space.clone(), gd);
-    let mut trace = Trace::new("vae_gd_network");
-    let mut rng = rng;
-    for _ in 0..samples {
-        let start = space.sample(&mut rng);
-        let mut objective = FnDifferentiable::new(model.latent_dim(), |z: &[f64]| {
-            model.predicted_network_edp_grad(z, &layers_n, lat_affine, en_affine)
-        });
-        let path = driver.run(&mut objective, &start);
-        let z = path.final_point();
-        let config = decode_to_config(model, z, &dataset.hw_norm, evaluator);
-        let score = evaluator.edp_of_config(&config);
-        trace.record(z.to_vec(), score);
-    }
-    trace
-}
-
-/// `gd` baseline: gradient descent on input-space predictors, rounding the
-/// optimized continuous features to the nearest legal design (§IV-D).
-pub fn run_gd(
-    evaluator: &HardwareEvaluator<'_>,
-    predictors: &InputPredictors,
-    dataset: &Dataset,
-    layer: &LayerShape,
-    samples: usize,
-    gd: GdConfig,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    DseDriver::new(evaluator, dataset)
-        .with_input_predictors(predictors)
-        .with_gd_layer(layer)
-        .run(&GdEngine { config: gd }, SpaceMode::Direct, samples, rng)
-}
-
-/// `random` for the GD study: uniform samples over the input box, scored on
-/// a single layer — the third curve of Figure 12.
-pub fn run_random_layer(
-    evaluator: &HardwareEvaluator<'_>,
-    hw_norm: &Normalizer,
-    samples: usize,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    run_random(evaluator, hw_norm, samples, rng)
-}
-
 /// Decoded-design EDP after a fixed number of GD steps from a given start
 /// (the Figure 13 measurement): returns `(edp_at_each_requested_step)`.
 pub fn vae_gd_edp_at_steps(
@@ -493,10 +273,12 @@ pub(crate) fn proxy_weights(metric: Metric, dataset: &Dataset) -> (f64, f64) {
 mod tests {
     use super::*;
     use crate::testutil::Fixture;
+    use crate::{DseDriver, SpaceMode};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use vaesa_accel::ArchParam;
+    use vaesa_dse::{BoEngine, CdEngine, GdEngine, RandomEngine};
 
     #[test]
     fn evaluator_scores_configs_and_normalized_rows() {
@@ -511,21 +293,6 @@ mod tests {
         let snapped = ev.snap(&normalized, &ds.hw_norm);
         assert_eq!(snapped, config);
         assert_eq!(ev.edp_of_normalized(&normalized, &ds.hw_norm), Some(direct));
-    }
-
-    #[test]
-    fn random_and_bo_flows_produce_full_traces() {
-        let f = Fixture::new();
-        let ev = f.evaluator();
-        let ds = f.dataset();
-        let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let tr = run_random(&ev, &ds.hw_norm, 20, &mut rng);
-        assert_eq!(tr.len(), 20);
-        assert!(tr.best_value().is_some());
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let tb = run_bo(&ev, &ds.hw_norm, 20, &mut rng);
-        assert_eq!(tb.len(), 20);
-        assert!(tb.best_value().is_some());
     }
 
     #[test]
@@ -565,12 +332,17 @@ mod tests {
         let ds = f.dataset();
         let model = f.trained_model(&ds);
         let mut rng = ChaCha8Rng::seed_from_u64(24);
-        let trace = run_vae_bo(&ev, &model, &ds, 30, &mut rng);
+        let trace = DseDriver::new(&ev, &ds).with_model(&model).run(
+            &BoEngine::default(),
+            SpaceMode::Latent,
+            30,
+            &mut rng,
+        );
         assert_eq!(trace.label(), "vae_bo");
         assert_eq!(trace.len(), 30);
         let best = trace.best_value().expect("found valid designs");
         // The latent search should land within 100x of the best training
-        // EDP (a loose sanity bound; the experiment binaries measure the
+        // EDP (a loose sanity bound; the experiment pipelines measure the
         // real comparison).
         let train_best = ds.records[ds.best_index()].edp();
         assert!(
@@ -593,7 +365,10 @@ mod tests {
             steps: 50,
             ..GdConfig::default()
         };
-        let trace = run_vae_gd(&ev_single, &model, &ds, &layer, 5, gd_cfg, &mut rng);
+        let trace = DseDriver::new(&ev_single, &ds)
+            .with_model(&model)
+            .with_gd_layer(&layer)
+            .run(&GdEngine { config: gd_cfg }, SpaceMode::Latent, 5, &mut rng);
         assert_eq!(trace.label(), "vae_gd");
         assert_eq!(trace.len(), 5);
         assert!(trace.best_value().is_some());
@@ -619,21 +394,6 @@ mod tests {
             improved * 2 >= comparisons,
             "GD improved only {improved}/{comparisons} starts"
         );
-    }
-
-    #[test]
-    fn gd_baseline_runs() {
-        let f = Fixture::new();
-        let ds = f.dataset();
-        let layer = f.layers[0].clone();
-        let single = vec![layer.clone()];
-        let ev = HardwareEvaluator::new(&f.space, &f.scheduler, &single);
-        let preds = f.trained_input_predictors(&ds);
-        let mut rng = ChaCha8Rng::seed_from_u64(29);
-        let trace = run_gd(&ev, &preds, &ds, &layer, 4, GdConfig::default(), &mut rng);
-        assert_eq!(trace.label(), "gd");
-        assert_eq!(trace.len(), 4);
-        assert!(trace.best_value().is_some());
     }
 
     #[test]
@@ -667,9 +427,11 @@ mod tests {
             HardwareEvaluator::with_metric(&f.space, &f.scheduler, &f.layers, Metric::Latency);
         let edp_ev = HardwareEvaluator::new(&f.space, &f.scheduler, &f.layers);
         let mut r1 = ChaCha8Rng::seed_from_u64(33);
-        let lat_trace = run_random(&lat_ev, &ds.hw_norm, 30, &mut r1);
+        let lat_trace =
+            DseDriver::new(&lat_ev, &ds).run(&RandomEngine, SpaceMode::Direct, 30, &mut r1);
         let mut r2 = ChaCha8Rng::seed_from_u64(33);
-        let edp_trace = run_random(&edp_ev, &ds.hw_norm, 30, &mut r2);
+        let edp_trace =
+            DseDriver::new(&edp_ev, &ds).run(&RandomEngine, SpaceMode::Direct, 30, &mut r2);
         // Same seed, same sampled designs: the latency trace's best value is
         // the min latency over those designs, which lower-bounds the latency
         // of the EDP trace's best design.
@@ -684,71 +446,13 @@ mod tests {
     }
 
     #[test]
-    fn network_gd_objective_gradient_checks_and_flow_runs() {
-        let f = Fixture::new();
-        let ds = f.dataset();
-        let model = f.trained_model(&ds);
-        let ev = f.evaluator();
-
-        // Gradient check against finite differences.
-        let rows: Vec<Vec<f64>> = f
-            .layers
-            .iter()
-            .map(|l| ds.layer_norm.transform_row(&l.features()))
-            .collect();
-        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        let layers_n = vaesa_nn::Tensor::from_rows(&refs);
-        let lat_affine = (ds.latency_norm.log_range()[0], ds.latency_norm.log_min()[0]);
-        let en_affine = (ds.energy_norm.log_range()[0], ds.energy_norm.log_min()[0]);
-        let z = [0.3, -0.2];
-        let (v, grad) = model.predicted_network_edp_grad(&z, &layers_n, lat_affine, en_affine);
-        assert!(v.is_finite());
-        let eps = 1e-6;
-        for i in 0..z.len() {
-            let mut zp = z;
-            zp[i] += eps;
-            let (vp, _) = model.predicted_network_edp_grad(&zp, &layers_n, lat_affine, en_affine);
-            zp[i] = z[i] - eps;
-            let (vm, _) = model.predicted_network_edp_grad(&zp, &layers_n, lat_affine, en_affine);
-            let numeric = (vp - vm) / (2.0 * eps);
-            assert!(
-                (numeric - grad[i]).abs() < 1e-5 * (1.0 + numeric.abs()),
-                "dim {i}: analytic {} vs numeric {numeric}",
-                grad[i]
-            );
-        }
-
-        // The flow produces a full trace of valid decoded designs.
-        let mut rng = ChaCha8Rng::seed_from_u64(44);
-        let trace = run_vae_gd_network(&ev, &model, &ds, 4, GdConfig::default(), &mut rng);
-        assert_eq!(trace.label(), "vae_gd_network");
-        assert_eq!(trace.len(), 4);
-        assert!(trace.best_value().is_some());
-    }
-
-    #[test]
-    fn evolutionary_flows_run_and_label() {
-        let f = Fixture::new();
-        let ds = f.dataset();
-        let model = f.trained_model(&ds);
-        let ev = f.evaluator();
-        let mut rng = ChaCha8Rng::seed_from_u64(45);
-        let t1 = run_evo(&ev, &ds.hw_norm, 25, &mut rng);
-        assert_eq!(t1.label(), "evo");
-        assert_eq!(t1.len(), 25);
-        let mut rng = ChaCha8Rng::seed_from_u64(46);
-        let t2 = run_vae_evo(&ev, &model, &ds, 25, &mut rng);
-        assert_eq!(t2.label(), "vae_evo");
-        assert!(t2.best_value().is_some());
-    }
-
-    #[test]
     fn coordinate_descent_improves_and_respects_budget() {
         let f = Fixture::new();
         let ev = f.evaluator();
         let ds = f.dataset();
         let mut rng = ChaCha8Rng::seed_from_u64(49);
-        let trace = run_coordinate_descent(&ev, &ds.hw_norm, 60, &mut rng);
+        let trace =
+            DseDriver::new(&ev, &ds).run(&CdEngine::default(), SpaceMode::Direct, 60, &mut rng);
         assert_eq!(trace.label(), "cd");
         assert_eq!(trace.len(), 60);
         let best = trace.best_value().expect("found valid designs");
@@ -759,23 +463,6 @@ mod tests {
             .find_map(|s| s.value)
             .expect("some valid start");
         assert!(best <= first);
-    }
-
-    #[test]
-    fn annealing_flows_run_and_label() {
-        let f = Fixture::new();
-        let ds = f.dataset();
-        let model = f.trained_model(&ds);
-        let ev = f.evaluator();
-        let mut rng = ChaCha8Rng::seed_from_u64(47);
-        let t1 = run_annealing(&ev, &ds.hw_norm, 25, &mut rng);
-        assert_eq!(t1.label(), "sa");
-        assert_eq!(t1.len(), 25);
-        assert!(t1.best_value().is_some());
-        let mut rng = ChaCha8Rng::seed_from_u64(48);
-        let t2 = run_vae_annealing(&ev, &model, &ds, 25, &mut rng);
-        assert_eq!(t2.label(), "vae_sa");
-        assert!(t2.best_value().is_some());
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //!    (`random`, `bo`, `evo`, `sa`, `cd`, `gd`) in either the normalized
 //!    input space or the VAE latent box ([`SpaceMode`]). Every candidate is
 //!    decoded/snapped back to a *legal* hardware configuration before
-//!    scoring — the "reconstructible" property in the paper's title. The
-//!    [`flows`] module keeps the named per-flow entry points (`run_vae_bo`,
-//!    `run_vae_gd`, ...) as thin shims over the driver.
+//!    scoring — the "reconstructible" property in the paper's title. A
+//!    paper flow is an engine plus a mode: `vae_bo` is
+//!    [`BoEngine`](vaesa_dse::BoEngine) in [`SpaceMode::Latent`]. The
+//!    [`flows`] module holds the evaluator and the latent decoding the
+//!    driver scores with.
 //! 4. [`interpolate`] probes latent-space smoothness between the worst and
 //!    best designs (Figures 7–8).
 //!
@@ -29,10 +31,11 @@
 //!
 //! ```no_run
 //! use rand::SeedableRng;
-//! use vaesa::{DatasetBuilder, Trainer, VaesaConfig, VaesaModel};
-//! use vaesa::flows::{run_vae_bo, HardwareEvaluator};
+//! use vaesa::{DatasetBuilder, DseDriver, SpaceMode, Trainer, VaesaConfig, VaesaModel};
+//! use vaesa::flows::HardwareEvaluator;
 //! use vaesa_accel::{workloads, DesignSpace};
 //! use vaesa_cosa::CachedScheduler;
+//! use vaesa_dse::BoEngine;
 //!
 //! let space = DesignSpace::paper();
 //! let scheduler = CachedScheduler::default();
@@ -48,7 +51,9 @@
 //! Trainer::default().train_vae(&mut model, &dataset, &mut rng);
 //! // 3. Search the latent space.
 //! let evaluator = HardwareEvaluator::new(&space, &scheduler, &layers);
-//! let trace = run_vae_bo(&evaluator, &model, &dataset, 200, &mut rng);
+//! let trace = DseDriver::new(&evaluator, &dataset)
+//!     .with_model(&model)
+//!     .run(&BoEngine::default(), SpaceMode::Latent, 200, &mut rng);
 //! println!("best EDP: {:?}", trace.best_value());
 //! ```
 

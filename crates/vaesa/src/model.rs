@@ -441,71 +441,6 @@ impl VaesaModel {
     pub fn sample_prior(&self, n: usize, rng: &mut impl Rng) -> Tensor {
         randn(n, self.config.latent_dim, rng)
     }
-
-    /// Predicted whole-network log-EDP and its gradient with respect to `z`.
-    ///
-    /// The paper's §IV-D outlook: "a user who wants to quickly optimize an
-    /// accelerator for an arbitrary neural network design could predict
-    /// performance for the full network by summing latency and energy
-    /// predictions for multiple layers." This implements that objective
-    /// end-to-end differentiably:
-    ///
-    /// `ln( Σ_l exp(w_lat·lat̂_l + m_lat) ) + ln( Σ_l exp(w_en·ên_l + m_en) )`
-    ///
-    /// i.e. the log of (sum of denormalized per-layer latencies) times
-    /// (sum of denormalized per-layer energies) — exactly `ln` of the
-    /// workload EDP the evaluator scores.
-    ///
-    /// `layers_normalized` is an `L x 8` tensor of normalized layer
-    /// features; `(w, m)` pairs are the label normalizers' `(log_range,
-    /// log_min)`.
-    pub fn predicted_network_edp_grad(
-        &self,
-        z: &[f64],
-        layers_normalized: &Tensor,
-        lat_affine: (f64, f64),
-        en_affine: (f64, f64),
-    ) -> (f64, Vec<f64>) {
-        assert_eq!(z.len(), self.config.latent_dim, "latent dimension mismatch");
-        assert_eq!(
-            layers_normalized.cols(),
-            LAYER_FEATURES,
-            "layer feature count mismatch"
-        );
-        let n_layers = layers_normalized.rows();
-        assert!(n_layers > 0, "need at least one layer");
-
-        let mut g = Graph::new();
-        let zi = g.leaf(Tensor::row_vector(z));
-        // Replicate z across L rows differentiably: ones(L,1) x z(1,dz).
-        let ones = g.leaf(Tensor::fill(n_layers, 1, 1.0));
-        let z_rep = g.matmul(ones, zi);
-        let li = g.leaf(layers_normalized.clone());
-        let joined = g.concat_cols(z_rep, li);
-
-        let lat = self.latency_predictor.forward(&mut g, joined);
-        let en = self.energy_predictor.forward(&mut g, joined);
-
-        let mut raw_total = |pred: vaesa_nn::VarId, (w, m): (f64, f64)| {
-            let scaled = g.scale(pred, w);
-            let shifted = g.add_scalar(scaled, m);
-            let raw = g.exp(shifted);
-            let total = g.sum_all(raw);
-            g.ln(total)
-        };
-        let log_lat_total = raw_total(lat.output, lat_affine);
-        let log_en_total = raw_total(en.output, en_affine);
-        let loss = g.add(log_lat_total, log_en_total);
-
-        let value = g.value(loss).get(0, 0);
-        g.backward(loss);
-        let grad = g
-            .grad(zi)
-            .expect("z receives a gradient")
-            .clone()
-            .into_vec();
-        (value, grad)
-    }
 }
 
 #[cfg(test)]

@@ -12,9 +12,12 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vaesa_repro::accel::{workloads, DesignSpace};
-use vaesa_repro::core::flows::{decode_to_config, run_vae_bo, HardwareEvaluator, Metric};
-use vaesa_repro::core::{DatasetBuilder, TrainConfig, Trainer, VaesaConfig, VaesaModel};
+use vaesa_repro::core::flows::{decode_to_config, HardwareEvaluator, Metric};
+use vaesa_repro::core::{
+    DatasetBuilder, DseDriver, SpaceMode, TrainConfig, Trainer, VaesaConfig, VaesaModel,
+};
 use vaesa_repro::cosa::CachedScheduler;
+use vaesa_repro::dse::BoEngine;
 
 fn main() {
     let space = DesignSpace::paper();
@@ -43,7 +46,12 @@ fn main() {
     ] {
         let evaluator = HardwareEvaluator::with_metric(&space, &scheduler, &layers, metric);
         let mut rng = ChaCha8Rng::seed_from_u64(99);
-        let trace = run_vae_bo(&evaluator, &model, &dataset, 80, &mut rng);
+        let trace = DseDriver::new(&evaluator, &dataset).with_model(&model).run(
+            &BoEngine::default(),
+            SpaceMode::Latent,
+            80,
+            &mut rng,
+        );
         let z = trace.best_point().expect("found a design");
         let config = decode_to_config(&model, z, &dataset.hw_norm, &evaluator);
         let arch = space.describe(&config);

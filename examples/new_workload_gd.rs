@@ -11,10 +11,12 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vaesa_repro::accel::{workloads, DesignSpace};
-use vaesa_repro::core::flows::{run_random_layer, run_vae_gd, HardwareEvaluator};
-use vaesa_repro::core::{DatasetBuilder, TrainConfig, Trainer, VaesaConfig, VaesaModel};
+use vaesa_repro::core::flows::HardwareEvaluator;
+use vaesa_repro::core::{
+    DatasetBuilder, DseDriver, SpaceMode, TrainConfig, Trainer, VaesaConfig, VaesaModel,
+};
 use vaesa_repro::cosa::CachedScheduler;
-use vaesa_repro::dse::GdConfig;
+use vaesa_repro::dse::{GdEngine, RandomEngine};
 
 fn main() {
     let samples = 10; // simulator queries we are willing to spend
@@ -44,18 +46,20 @@ fn main() {
     let evaluator = HardwareEvaluator::new(&space, &scheduler, &single);
 
     println!("\nspending {samples} simulator queries per method:");
-    let vae_gd = run_vae_gd(
-        &evaluator,
-        &model,
-        &dataset,
-        &layer,
+    // The target layer drives the predictor descent; the evaluator scores
+    // the decoded design on that same layer.
+    let driver = DseDriver::new(&evaluator, &dataset)
+        .with_model(&model)
+        .with_gd_layer(&layer);
+    let vae_gd = driver.run(
+        &GdEngine::default(),
+        SpaceMode::Latent,
         samples,
-        GdConfig::default(),
         &mut ChaCha8Rng::seed_from_u64(200),
     );
-    let random = run_random_layer(
-        &evaluator,
-        &dataset.hw_norm,
+    let random = driver.run(
+        &RandomEngine,
+        SpaceMode::Direct,
         samples,
         &mut ChaCha8Rng::seed_from_u64(200),
     );

@@ -12,9 +12,12 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vaesa_repro::accel::{workloads, DesignSpace};
-use vaesa_repro::core::flows::{decode_to_config, run_vae_bo, HardwareEvaluator};
-use vaesa_repro::core::{DatasetBuilder, TrainConfig, Trainer, VaesaConfig, VaesaModel};
+use vaesa_repro::core::flows::{decode_to_config, HardwareEvaluator};
+use vaesa_repro::core::{
+    DatasetBuilder, DseDriver, SpaceMode, TrainConfig, Trainer, VaesaConfig, VaesaModel,
+};
 use vaesa_repro::cosa::CachedScheduler;
+use vaesa_repro::dse::BoEngine;
 
 fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(42);
@@ -48,7 +51,12 @@ fn main() {
     // 3. Search the latent space with Bayesian optimization.
     println!("running vae_bo for 100 samples...");
     let evaluator = HardwareEvaluator::new(&space, &scheduler, &layers);
-    let trace = run_vae_bo(&evaluator, &model, &dataset, 100, &mut rng);
+    let trace = DseDriver::new(&evaluator, &dataset).with_model(&model).run(
+        &BoEngine::default(),
+        SpaceMode::Latent,
+        100,
+        &mut rng,
+    );
 
     let best_edp = trace.best_value().expect("found a valid design");
     let best_z = trace.best_point().expect("best point recorded");

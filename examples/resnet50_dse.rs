@@ -9,10 +9,12 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vaesa_repro::accel::{workloads, DesignSpace};
-use vaesa_repro::core::flows::{run_bo, run_random, run_vae_bo, HardwareEvaluator};
-use vaesa_repro::core::{DatasetBuilder, TrainConfig, Trainer, VaesaConfig, VaesaModel};
+use vaesa_repro::core::flows::HardwareEvaluator;
+use vaesa_repro::core::{
+    DatasetBuilder, DseDriver, SpaceMode, TrainConfig, Trainer, VaesaConfig, VaesaModel,
+};
 use vaesa_repro::cosa::CachedScheduler;
-use vaesa_repro::dse::Trace;
+use vaesa_repro::dse::{BoEngine, RandomEngine, SearchEngine, Trace};
 
 fn main() {
     let budget = 150;
@@ -39,25 +41,15 @@ fn main() {
     let evaluator = HardwareEvaluator::new(&space, &scheduler, &resnet);
     println!("searching ({budget} samples per method)...\n");
 
-    let t_random = run_random(
-        &evaluator,
-        &dataset.hw_norm,
-        budget,
-        &mut ChaCha8Rng::seed_from_u64(100),
-    );
-    let t_bo = run_bo(
-        &evaluator,
-        &dataset.hw_norm,
-        budget,
-        &mut ChaCha8Rng::seed_from_u64(100),
-    );
-    let t_vae_bo = run_vae_bo(
-        &evaluator,
-        &model,
-        &dataset,
-        budget,
-        &mut ChaCha8Rng::seed_from_u64(100),
-    );
+    // One driver runs every method: the engine picks the search strategy,
+    // the mode picks the input space or the latent space.
+    let driver = DseDriver::new(&evaluator, &dataset).with_model(&model);
+    let run = |engine: &dyn SearchEngine, mode| {
+        driver.run(engine, mode, budget, &mut ChaCha8Rng::seed_from_u64(100))
+    };
+    let t_random = run(&RandomEngine, SpaceMode::Direct);
+    let t_bo = run(&BoEngine::default(), SpaceMode::Direct);
+    let t_vae_bo = run(&BoEngine::default(), SpaceMode::Latent);
 
     let curve = |t: &Trace, i: usize| {
         t.samples()

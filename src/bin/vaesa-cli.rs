@@ -67,17 +67,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Global numeric-precision override; equivalent to VAESA_PRECISION and
-    // applied before any compute so every command's hot loops see it.
-    match flags.0.get("precision").map(String::as_str) {
-        None => {}
-        Some("f64") => vaesa_repro::nn::set_precision(vaesa_repro::nn::Precision::F64),
-        Some("f32") => vaesa_repro::nn::set_precision(vaesa_repro::nn::Precision::F32),
-        Some(other) => {
-            eprintln!("error: --precision must be f32 or f64, got `{other}`\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    }
     let result = match command.as_str() {
         "dataset" => cmd_dataset(&flags),
         "train" => cmd_train(&flags),
@@ -130,11 +119,9 @@ commands:
 workloads: alexnet, resnet50, resnext50, deepbench, vgg16, mobilenet,
            bert, all (the Table III training pool)
 
-global flags:
-  --precision (f64|f32)   numeric backend for NN/GP hot loops (default f64;
-                          same as VAESA_PRECISION; f32 uses SIMD kernels)
-
 environment:
+  VAESA_PRECISION=f32     numeric backend for NN/GP hot loops (default f64;
+                          f32 uses SIMD kernels)
   VAESA_EVAL_CACHE=DIR    persist scheduler evaluations to an append-only
                           log in DIR, shared across runs and commands";
 

@@ -4,12 +4,13 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vaesa_repro::accel::{workloads, DesignSpace};
-use vaesa_repro::core::flows::{run_vae_bo, run_vae_gd, HardwareEvaluator};
+use vaesa_repro::core::flows::HardwareEvaluator;
 use vaesa_repro::core::{
-    DatasetBuilder, ModelCheckpoint, TrainConfig, Trainer, VaesaConfig, VaesaModel,
+    DatasetBuilder, DseDriver, ModelCheckpoint, SpaceMode, TrainConfig, Trainer, VaesaConfig,
+    VaesaModel,
 };
 use vaesa_repro::cosa::CachedScheduler;
-use vaesa_repro::dse::GdConfig;
+use vaesa_repro::dse::{BoEngine, GdEngine};
 
 #[test]
 fn restored_checkpoint_reproduces_searches_exactly() {
@@ -41,45 +42,32 @@ fn restored_checkpoint_reproduces_searches_exactly() {
     let evaluator = HardwareEvaluator::new(&space, &scheduler, &layers);
 
     // vae_bo: identical traces sample for sample.
-    let t_live = run_vae_bo(
-        &evaluator,
-        &model,
-        &dataset,
-        20,
-        &mut ChaCha8Rng::seed_from_u64(5),
-    );
-    let t_restored = run_vae_bo(
-        &evaluator,
-        &restored,
-        &dataset,
-        20,
-        &mut ChaCha8Rng::seed_from_u64(5),
-    );
-    assert_eq!(t_live.samples(), t_restored.samples());
+    let vae_bo = |m: &VaesaModel| {
+        DseDriver::new(&evaluator, &dataset).with_model(m).run(
+            &BoEngine::default(),
+            SpaceMode::Latent,
+            20,
+            &mut ChaCha8Rng::seed_from_u64(5),
+        )
+    };
+    assert_eq!(vae_bo(&model).samples(), vae_bo(&restored).samples());
 
     // vae_gd: identical descents too (exercises the predictor heads).
     let layer = layers[3].clone();
     let single = vec![layer.clone()];
     let ev1 = HardwareEvaluator::new(&space, &scheduler, &single);
-    let g_live = run_vae_gd(
-        &ev1,
-        &model,
-        &dataset,
-        &layer,
-        3,
-        GdConfig::default(),
-        &mut ChaCha8Rng::seed_from_u64(6),
-    );
-    let g_restored = run_vae_gd(
-        &ev1,
-        &restored,
-        &dataset,
-        &layer,
-        3,
-        GdConfig::default(),
-        &mut ChaCha8Rng::seed_from_u64(6),
-    );
-    assert_eq!(g_live.samples(), g_restored.samples());
+    let vae_gd = |m: &VaesaModel| {
+        DseDriver::new(&ev1, &dataset)
+            .with_model(m)
+            .with_gd_layer(&layer)
+            .run(
+                &GdEngine::default(),
+                SpaceMode::Latent,
+                3,
+                &mut ChaCha8Rng::seed_from_u64(6),
+            )
+    };
+    assert_eq!(vae_gd(&model).samples(), vae_gd(&restored).samples());
 }
 
 #[test]

@@ -64,6 +64,33 @@ fn eval_rejects_unknown_workload() {
 }
 
 #[test]
+fn flow_lists_pipelines_and_rejects_bad_runs() {
+    let out = vaesa().args(["flow", "list"]).output().expect("run");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(text.lines().count(), 16, "{text}");
+    assert!(text.lines().any(|l| l.starts_with("fig12_gd ")));
+
+    let out = vaesa()
+        .args(["flow", "run", "fig99_nope"])
+        .output()
+        .expect("run");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown pipeline 'fig99_nope'"), "{err}");
+    assert!(err.contains("fig11_table5_bo") && err.contains("ablation_dataflow"));
+
+    let out = vaesa()
+        .args(["flow", "run", "fig12_gd", "--wat"])
+        .output()
+        .expect("run");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --wat"), "{err}");
+    assert!(err.contains("usage: vaesa-cli flow run NAME"), "{err}");
+}
+
+#[test]
 fn dataset_train_search_pipeline() {
     let ds = temp_path("ds.json");
     let model = temp_path("model.json");

@@ -89,8 +89,9 @@ fn heavy_kl_weight_collapses_the_encoding() {
 /// layers and seeds).
 #[test]
 fn vae_gd_beats_random_at_small_budgets() {
-    use vaesa_repro::core::flows::{run_random_layer, run_vae_gd, HardwareEvaluator};
-    use vaesa_repro::dse::GdConfig;
+    use vaesa_repro::core::flows::HardwareEvaluator;
+    use vaesa_repro::core::{DseDriver, SpaceMode};
+    use vaesa_repro::dse::{GdEngine, RandomEngine};
 
     let (space, scheduler, ds) = shared_dataset();
     let model = train(&ds, 4, 1e-4, 35, 3);
@@ -104,19 +105,14 @@ fn vae_gd_beats_random_at_small_budgets() {
     for (li, layer) in layers.iter().enumerate() {
         let single = vec![layer.clone()];
         let ev = HardwareEvaluator::new(&space, &scheduler, &single);
+        let driver = DseDriver::new(&ev, &ds)
+            .with_model(&model)
+            .with_gd_layer(layer);
         for seed in 0..3u64 {
             let mut r1 = ChaCha8Rng::seed_from_u64(1000 + 10 * li as u64 + seed);
-            let gd = run_vae_gd(
-                &ev,
-                &model,
-                &ds,
-                layer,
-                samples,
-                GdConfig::default(),
-                &mut r1,
-            );
+            let gd = driver.run(&GdEngine::default(), SpaceMode::Latent, samples, &mut r1);
             let mut r2 = ChaCha8Rng::seed_from_u64(1000 + 10 * li as u64 + seed);
-            let rnd = run_random_layer(&ev, &ds.hw_norm, samples, &mut r2);
+            let rnd = driver.run(&RandomEngine, SpaceMode::Direct, samples, &mut r2);
             if let (Some(g), Some(r)) = (gd.best_value(), rnd.best_value()) {
                 total += 1;
                 if g <= r {

@@ -4,11 +4,14 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vaesa_repro::accel::{workloads, DesignSpace};
-use vaesa_repro::core::flows::{decode_to_config, run_vae_bo, HardwareEvaluator};
-use vaesa_repro::core::{DatasetBuilder, TrainConfig, Trainer, VaesaConfig, VaesaModel};
+use vaesa_repro::core::flows::{decode_to_config, HardwareEvaluator};
+use vaesa_repro::core::{
+    Dataset, DatasetBuilder, DseDriver, SpaceMode, TrainConfig, Trainer, VaesaConfig, VaesaModel,
+};
 use vaesa_repro::cosa::CachedScheduler;
+use vaesa_repro::dse::{BoEngine, Trace};
 
-fn quick_train(dataset: &vaesa_repro::core::Dataset, dz: usize, seed: u64) -> VaesaModel {
+fn quick_train(dataset: &Dataset, dz: usize, seed: u64) -> VaesaModel {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut model = VaesaModel::new(VaesaConfig::paper().with_latent_dim(dz), &mut rng);
     Trainer::new(TrainConfig {
@@ -18,6 +21,21 @@ fn quick_train(dataset: &vaesa_repro::core::Dataset, dz: usize, seed: u64) -> Va
     })
     .train_vae(&mut model, dataset, &mut rng);
     model
+}
+
+fn vae_bo(
+    evaluator: &HardwareEvaluator<'_>,
+    model: &VaesaModel,
+    dataset: &Dataset,
+    budget: usize,
+    rng: &mut ChaCha8Rng,
+) -> Trace {
+    DseDriver::new(evaluator, dataset).with_model(model).run(
+        &BoEngine::default(),
+        SpaceMode::Latent,
+        budget,
+        rng,
+    )
 }
 
 #[test]
@@ -35,7 +53,7 @@ fn full_pipeline_finds_valid_competitive_design() {
 
     let model = quick_train(&dataset, 4, 2);
     let evaluator = HardwareEvaluator::new(&space, &scheduler, &layers);
-    let trace = run_vae_bo(&evaluator, &model, &dataset, 40, &mut rng);
+    let trace = vae_bo(&evaluator, &model, &dataset, 40, &mut rng);
 
     assert_eq!(trace.len(), 40);
     let best = trace.best_value().expect("found valid designs");
@@ -78,7 +96,7 @@ fn pipeline_is_reproducible_across_runs() {
             .build(&scheduler, &mut rng);
         let model = quick_train(&dataset, 2, 6);
         let evaluator = HardwareEvaluator::new(&space, &scheduler, &layers);
-        let trace = run_vae_bo(&evaluator, &model, &dataset, 15, &mut rng);
+        let trace = vae_bo(&evaluator, &model, &dataset, 15, &mut rng);
         (dataset.len(), trace.best_value())
     };
     assert_eq!(run(), run());
