@@ -11,8 +11,9 @@
 //! `request_telemetry_only` isolates the fixed per-request cost of that
 //! stack with zero model work, so the overhead stays visible even when
 //! run-to-run inference jitter exceeds it. The committed baseline
-//! (`BENCH_pr10.json`) pins it at ~1 µs — about 1% of the ~100 µs bare
-//! batch-16 predict, inside the ≤2% overhead budget. (Request spans
+//! (`BENCH.json`; refresh with `VAESA_BENCH_JSON=BENCH.json`) pins it at
+//! ~1 µs — about 1% of the ~100 µs bare batch-16 predict, inside the ≤2%
+//! overhead budget. (Request spans
 //! deliberately skip `process_cpu_ns`: two `/proc/self/stat` reads per
 //! span cost ~10 µs and report 0 at request timescales anyway.)
 

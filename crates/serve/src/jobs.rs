@@ -12,6 +12,7 @@
 
 use serde::Serialize;
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -212,7 +213,7 @@ impl JobTable {
 }
 
 /// The worker pool: a queue of job ids drained by OS threads that run the
-/// provided executor for each job.
+/// provided search for each job and record its outcome in the table.
 #[derive(Debug)]
 pub struct WorkerPool {
     sender: Option<Sender<u64>>,
@@ -220,19 +221,22 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads running `execute` for every queued job id.
-    /// The executor owns marking the job running and finishing it.
-    pub fn spawn<F>(workers: usize, execute: F) -> Self
+    /// Spawns `workers` threads that, for every queued job id still in
+    /// `jobs`, mark the job running, call `run` on its spec, and finish
+    /// the job with the result. A panic in `run` fails the job with the
+    /// panic message instead of killing the worker.
+    pub fn spawn<F>(workers: usize, jobs: Arc<JobTable>, run: F) -> Self
     where
-        F: Fn(u64) + Send + Sync + 'static,
+        F: Fn(&SearchSpec) -> Result<SearchSummary, String> + Send + Sync + 'static,
     {
         let (sender, receiver) = mpsc::channel::<u64>();
         let receiver = Arc::new(Mutex::new(receiver));
-        let execute = Arc::new(execute);
+        let run = Arc::new(run);
         let handles = (0..workers.max(1))
             .map(|i| {
                 let receiver = Arc::clone(&receiver);
-                let execute = Arc::clone(&execute);
+                let jobs = Arc::clone(&jobs);
+                let run = Arc::clone(&run);
                 std::thread::Builder::new()
                     .name(format!("vaesa-serve-worker-{i}"))
                     .spawn(move || loop {
@@ -242,10 +246,25 @@ impl WorkerPool {
                             let rx: &Receiver<u64> = &receiver.lock().expect("worker queue");
                             rx.recv()
                         };
-                        match next {
-                            Ok(id) => execute(id),
-                            Err(_) => break, // queue closed: shutdown
-                        }
+                        let Ok(id) = next else {
+                            break; // queue closed: shutdown
+                        };
+                        let Some(job) = jobs.get(id) else {
+                            continue; // evicted before pickup
+                        };
+                        jobs.mark_running(id);
+                        let outcome = panic::catch_unwind(AssertUnwindSafe(|| run(&job.spec)));
+                        jobs.finish(
+                            id,
+                            match outcome {
+                                Ok(Ok(summary)) => JobStatus::Done(summary),
+                                Ok(Err(message)) => JobStatus::Failed(message),
+                                Err(payload) => JobStatus::Failed(format!(
+                                    "search panicked: {}",
+                                    vaesa_obs::panic_message(&*payload)
+                                )),
+                            },
+                        );
                     })
                     .expect("spawn worker thread")
             })
@@ -340,10 +359,8 @@ mod tests {
     #[test]
     fn worker_pool_executes_queued_jobs_and_shuts_down() {
         let table = Arc::new(JobTable::new(8));
-        let exec_table = Arc::clone(&table);
-        let mut pool = WorkerPool::spawn(2, move |id| {
-            exec_table.mark_running(id);
-            exec_table.finish(id, JobStatus::Failed(format!("job {id} executed")));
+        let mut pool = WorkerPool::spawn(2, Arc::clone(&table), |spec| {
+            Err(format!("seed {} executed", spec.seed))
         });
         let ids: Vec<u64> = (0..5).map(|_| table.submit(spec()).unwrap()).collect();
         for &id in &ids {
@@ -357,5 +374,44 @@ mod tests {
             }
         }
         pool.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_search_fails_its_job_and_the_worker_survives() {
+        let table = Arc::new(JobTable::new(8));
+        let pool = WorkerPool::spawn(1, Arc::clone(&table), |spec| {
+            assert!(spec.seed != 0, "seed 0 is poisoned");
+            Ok(SearchSummary {
+                label: "random".to_string(),
+                evals: spec.budget as u64,
+                best_value: None,
+                best_point: None,
+                best_arch: None,
+            })
+        });
+        let poisoned = table.submit(SearchSpec { seed: 0, ..spec() }).unwrap();
+        let healthy = table.submit(spec()).unwrap();
+        pool.enqueue(poisoned);
+        pool.enqueue(healthy);
+        // Wait on a thread the test can abandon: before the fix the
+        // poisoned job stayed `running` forever.
+        let (tx, rx) = mpsc::channel();
+        let waiter = Arc::clone(&table);
+        std::thread::spawn(move || {
+            let _ = tx.send((
+                waiter.wait_terminal(poisoned),
+                waiter.wait_terminal(healthy),
+            ));
+        });
+        let (first, second) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a job hung after the search panicked");
+        match first.unwrap().status {
+            JobStatus::Failed(msg) => {
+                assert!(msg.contains("search panicked: seed 0 is poisoned"), "{msg}")
+            }
+            other => panic!("unexpected status {other:?}"),
+        }
+        assert_eq!(second.unwrap().status.name(), "done");
     }
 }

@@ -104,7 +104,6 @@ impl ServeState {
         let predict_core = Arc::clone(&core);
         let decode_core = Arc::clone(&core);
         let worker_core = Arc::clone(&core);
-        let worker_jobs = Arc::clone(&jobs);
         // Request ids reuse the core seed, so a daemon restarted with the
         // same configuration mints the same id sequence.
         let telemetry = Telemetry::new(config.core.seed, config.access_log.as_deref())?;
@@ -115,18 +114,9 @@ impl ServeState {
             decode: Batcher::named(config.window, "decode", move |rows| {
                 decode_core.decode(rows)
             }),
-            pool: WorkerPool::spawn(config.workers, move |id| {
-                let Some(job) = worker_jobs.get(id) else {
-                    return; // evicted before pickup
-                };
-                worker_jobs.mark_running(id);
-                let span = vaesa_obs::global().span("serve/job");
-                let status = match worker_core.run_search(&job.spec) {
-                    Ok(summary) => JobStatus::Done(summary),
-                    Err(message) => JobStatus::Failed(message),
-                };
-                span.finish();
-                worker_jobs.finish(id, status);
+            pool: WorkerPool::spawn(config.workers, Arc::clone(&jobs), move |spec| {
+                let _span = vaesa_obs::global().span("serve/job");
+                worker_core.run_search(spec)
             }),
             core,
             jobs,

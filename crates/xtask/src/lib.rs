@@ -1,35 +1,29 @@
 //! CI gate checkers and manifest tooling for the vaesa workspace.
 //!
-//! The `xtask` binary wraps three CI gates plus the parsing layer behind
-//! the `vaesa-cli obs-report` subcommand:
+//! The `xtask` binary has four subcommands:
 //!
-//! - [`gates::metrics_gate`] — asserts structural invariants on one run
-//!   manifest (exact budget accounting, warm scheduler cache, non-empty
-//!   best-EDP trajectories);
-//! - [`gates::perf_gate`] — compares a fresh `VAESA_BENCH_JSON` capture
-//!   against the checked-in `BENCH_pr*.json` baselines;
-//! - [`gates::determinism`] — diffs two runs of the same figure binary at
+//! - [`gate::check`] (`xtask gate`) — checks declarative threshold rules
+//!   against one [`snapshot::Snapshot`], optionally relative to a
+//!   baseline snapshot. A snapshot loads any export CI gates on: a run
+//!   manifest, a Prometheus scrape, or a criterion-shim capture;
+//! - [`determinism::determinism`] — diffs two runs of the same figure at
 //!   different `VAESA_THREADS`, byte-comparing result files and comparing
-//!   the deterministic slice of their manifests.
+//!   the deterministic slice of their manifests;
+//! - [`prom::prom_check`] — validates a scraped Prometheus snapshot's
+//!   structure;
+//! - [`trace`] — parses, validates, and folds the Chrome `trace_event`
+//!   JSON the obs layer exports (`xtask trace-check`, `vaesa-cli
+//!   obs-flame`).
 //!
-//! Live-service checks ride alongside: [`prom::prom_check`] validates a
-//! scraped Prometheus snapshot's structure, and [`prom::slo_gate`]
-//! enforces declarative latency/error-rate thresholds against it
-//! (`xtask prom-check` / `xtask slo-gate`).
-//!
-//! On top of the gates sit the tracing/telemetry readers: [`trace`]
-//! parses, validates, and folds the Chrome `trace_event` JSON the obs
-//! layer exports (`xtask trace-check`, `vaesa-cli obs-flame`), and
-//! [`telemetry`] maintains the append-only cross-run history behind
-//! `xtask ingest` / `trend` / `trend-gate`.
+//! [`manifest`] and [`report`] also back `vaesa-cli obs-report`.
 //!
 //! Everything here is a *reader* of `vaesa-obs` output; the obs crate
 //! itself stays write-only (and dependency-free).
 
-pub mod bench;
-pub mod gates;
+pub mod determinism;
+pub mod gate;
 pub mod manifest;
 pub mod prom;
 pub mod report;
-pub mod telemetry;
+pub mod snapshot;
 pub mod trace;

@@ -1,216 +1,86 @@
-//! `xtask` — CI gate checker and telemetry tool for the vaesa workspace.
+//! `xtask` — CI gate checker for the vaesa workspace.
 //!
 //! ```text
-//! xtask metrics-gate <manifest.jsonl>
-//! xtask perf-gate --current <capture.json> --baseline <BENCH.json>... [--tolerance 0.25]
+//! xtask gate --rules <file> <snapshot> [--baseline <snapshot>]
 //! xtask determinism <dir-a> <dir-b>
-//! xtask trace-check <trace.json>
-//! xtask summarize <manifest.jsonl>
-//! xtask diff <manifest-a> <manifest-b>
-//! xtask ingest <manifest.jsonl> [--history <history.jsonl>]
-//! xtask trend [--history <history.jsonl>] [--out <dir>]
-//! xtask trend-gate [--history <history.jsonl>] [--tolerance 0.25]
-//! xtask precision-gate <f64-manifest> <f32-manifest> [--tolerance 0.0]
 //! xtask prom-check <snapshot.prom>
-//! xtask slo-gate <snapshot.prom> --slo <thresholds.txt>
+//! xtask trace-check <trace.json>
 //! ```
 //!
 //! Exit status 0 on pass, 1 on gate failure, 2 on usage errors. Reports
 //! go to stdout (pass) or stderr (fail).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
+use vaesa_xtask::snapshot::Snapshot;
 use vaesa_xtask::trace::ChromeTrace;
-use vaesa_xtask::{gates, manifest::Manifest, report, telemetry};
-
-/// Where CI keeps the cross-run telemetry history.
-const DEFAULT_HISTORY: &str = "results/telemetry/history.jsonl";
+use vaesa_xtask::{determinism, gate, prom};
 
 const USAGE: &str = "\
 usage: xtask <command> [args]
 
-gates:
-  metrics-gate <manifest.jsonl>
-      assert budget accounting, scheduler warmth, and non-empty
-      best-EDP trajectories on one figure-run manifest
-
-  perf-gate --current <capture.json> --baseline <BENCH.json>...
-            [--tolerance 0.25]
-      fail if any benchmark median regresses past the tolerance vs the
-      merged baselines (pass BENCH_pr*.json oldest-first; later files
-      override earlier ids)
+  gate --rules <file> <snapshot> [--baseline <snapshot>]
+      check every `metric[:pNN] <op> <rhs>` rule of the file against the
+      snapshot: a run manifest.jsonl, a Prometheus scrape, or a
+      VAESA_BENCH_JSON capture (detected from the first line). <op> is
+      <=, <, >=, > or ==; <rhs> is a finite number, another metric,
+      `baseline [* k]` (the same name in --baseline) or a quoted string
+      (for meta.<key>). `*` globs the metric name. Absent metrics fail.
 
   determinism <dir-a> <dir-b>
       byte-compare result files and the deterministic manifest slice of
       the same figure run at two VAESA_THREADS settings
-
-  trace-check <trace.json>
-      validate a Chrome trace_event export: known phases, non-negative
-      timestamps, balanced B/E pairs, at least one timed span
-
-  trend-gate [--history <history.jsonl>] [--tolerance 0.25]
-      fail when a gated span's wall-time in the latest record of any
-      (run_id, threads, cpu_features) group exceeds the trailing median
-      of its prior records by more than the tolerance; spans with fewer
-      than 3 prior records are skipped with a notice
-
-  precision-gate <f64-manifest> <f32-manifest> [--tolerance 0.0]
-      fail when the f32-precision run is slower than the f64 run on any
-      gated span (the f32 SIMD backend must not lose)
 
   prom-check <snapshot.prom>
       validate a scraped Prometheus snapshot: every sample under a
       declared # TYPE family, cumulative histogram buckets ending at
       +Inf, quantile labels inside [0, 1]
 
-  slo-gate <snapshot.prom> --slo <thresholds.txt>
-      fail when the snapshot violates any `metric[:pNN] <op> <value>`
-      threshold line (absent metrics fail, they do not skip)
-
-telemetry:
-  summarize <manifest.jsonl>
-      print one run manifest as a readable report
-
-  diff <manifest-a> <manifest-b>
-      diff two run manifests (exit 1 when they differ)
-
-  ingest <manifest.jsonl> [--history <history.jsonl>]
-      append a compact per-run record to the history; idempotent per
-      run_id@git_rev
-
-  trend [--history <history.jsonl>] [--out <dir>]
-      render per-metric SVG trend charts over the history
-      (default out dir: results/telemetry)
-
-default history file: results/telemetry/history.jsonl";
+  trace-check <trace.json>
+      validate a Chrome trace_event export: known phases, non-negative
+      timestamps, balanced B/E pairs, at least one timed span";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((gate, rest)) = args.split_first() else {
+    let Some((command, rest)) = args.split_first() else {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let outcome =
-        match gate.as_str() {
-            "metrics-gate" => match rest {
-                [manifest] => gates::metrics_gate(Path::new(manifest)),
-                _ => return usage_error("metrics-gate takes exactly one manifest path"),
-            },
-            "perf-gate" => match parse_perf_args(rest) {
-                Ok((current, baselines, tolerance)) => {
-                    gates::perf_gate(&current, &baselines, tolerance)
-                }
-                Err(e) => return usage_error(&e),
-            },
-            "determinism" => match rest {
-                [a, b] => gates::determinism(Path::new(a), Path::new(b)),
-                _ => return usage_error("determinism takes exactly two directories"),
-            },
-            "trace-check" => match rest {
-                [trace] => ChromeTrace::load(Path::new(trace)).and_then(|t| t.validate()),
-                _ => return usage_error("trace-check takes exactly one trace.json path"),
-            },
-            "summarize" => match rest {
-                [manifest] => Manifest::load(Path::new(manifest)).map(|m| report::summarize(&m)),
-                _ => return usage_error("summarize takes exactly one manifest path"),
-            },
-            "diff" => match rest {
-                [a, b] => match (Manifest::load(Path::new(a)), Manifest::load(Path::new(b))) {
-                    (Ok(ma), Ok(mb)) => match report::diff(&ma, &mb) {
-                        None => Ok("manifests are identical\n".to_string()),
-                        Some(d) => Err(d),
-                    },
-                    (Err(e), _) | (_, Err(e)) => Err(e),
-                },
-                _ => return usage_error("diff takes exactly two manifest paths"),
-            },
-            "ingest" => match parse_history_args(rest, &["--history"]) {
-                Ok((positional, flags)) => match positional.as_slice() {
-                    [manifest] => {
-                        let history = history_path(&flags);
-                        telemetry::ingest(Path::new(manifest), &history)
-                    }
-                    _ => return usage_error("ingest takes exactly one manifest path"),
-                },
-                Err(e) => return usage_error(&e),
-            },
-            "trend" => match parse_history_args(rest, &["--history", "--out"]) {
-                Ok((positional, flags)) if positional.is_empty() => {
-                    let history = history_path(&flags);
-                    let out = flags
-                        .get("--out")
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| PathBuf::from("results/telemetry"));
-                    telemetry::render_trends(&history, &out)
-                }
-                Ok(_) => return usage_error("trend takes no positional arguments"),
-                Err(e) => return usage_error(&e),
-            },
-            "trend-gate" => match parse_history_args(rest, &["--history", "--tolerance"]) {
-                Ok((positional, flags)) if positional.is_empty() => {
-                    let history = history_path(&flags);
-                    let tolerance = match flags.get("--tolerance") {
-                        None => telemetry::DEFAULT_TREND_TOLERANCE,
-                        Some(raw) => match raw.parse() {
-                            Ok(t) => t,
-                            Err(_) => return usage_error("invalid --tolerance value"),
-                        },
-                    };
-                    telemetry::trend_gate(&history, tolerance)
-                }
-                Ok(_) => return usage_error("trend-gate takes no positional arguments"),
-                Err(e) => return usage_error(&e),
-            },
-            "precision-gate" => match parse_history_args(rest, &["--tolerance"]) {
-                Ok((positional, flags)) => match positional.as_slice() {
-                    [f64_manifest, f32_manifest] => {
-                        let tolerance = match flags.get("--tolerance") {
-                            None => 0.0,
-                            Some(raw) => match raw.parse() {
-                                Ok(t) => t,
-                                Err(_) => return usage_error("invalid --tolerance value"),
-                            },
-                        };
-                        gates::precision_gate(
-                            Path::new(f64_manifest),
-                            Path::new(f32_manifest),
-                            tolerance,
-                        )
-                    }
-                    _ => return usage_error(
-                        "precision-gate takes exactly two manifest paths (f64 first, f32 second)",
-                    ),
-                },
-                Err(e) => return usage_error(&e),
-            },
-            "prom-check" => match rest {
-                [snapshot] => vaesa_xtask::prom::prom_check(Path::new(snapshot)),
-                _ => return usage_error("prom-check takes exactly one snapshot path"),
-            },
-            "slo-gate" => match parse_history_args(rest, &["--slo"]) {
-                Ok((positional, flags)) => match (positional.as_slice(), flags.get("--slo")) {
-                    ([snapshot], Some(slo)) => {
-                        vaesa_xtask::prom::slo_gate(Path::new(snapshot), Path::new(slo))
-                    }
-                    _ => return usage_error("slo-gate takes one snapshot path and --slo <file>"),
-                },
-                Err(e) => return usage_error(&e),
-            },
-            "--help" | "-h" | "help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return usage_error(&format!("unknown gate `{other}`")),
-        };
+    let outcome = match command.as_str() {
+        "gate" => match parse_gate_args(rest) {
+            Ok((rules, snapshot, baseline)) => run_gate(&rules, &snapshot, baseline.as_deref()),
+            Err(e) => return usage_error(&e),
+        },
+        "determinism" => match rest {
+            [a, b] => determinism::determinism(Path::new(a), Path::new(b)),
+            _ => return usage_error("determinism takes exactly two directories"),
+        },
+        "prom-check" => match rest {
+            [snapshot] => prom::prom_check(Path::new(snapshot)),
+            _ => return usage_error("prom-check takes exactly one snapshot path"),
+        },
+        "trace-check" => match rest {
+            [trace] => ChromeTrace::load(Path::new(trace)).and_then(|t| t.validate()),
+            _ => return usage_error("trace-check takes exactly one trace.json path"),
+        },
+        "--help" | "-h" | "help" => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        other => return usage_error(&format!("unknown command `{other}`")),
+    };
     match outcome {
         Ok(report) => {
-            println!("{gate}: PASS");
+            println!("{command}: PASS");
             print!("{report}");
             ExitCode::SUCCESS
         }
         Err(report) => {
-            eprintln!("{gate}: FAIL");
+            eprintln!("{command}: FAIL");
             eprint!("{report}");
+            if !report.ends_with('\n') {
+                eprintln!();
+            }
             ExitCode::FAILURE
         }
     }
@@ -221,74 +91,39 @@ fn usage_error(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-fn history_path(flags: &std::collections::BTreeMap<String, String>) -> PathBuf {
-    flags
-        .get("--history")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(DEFAULT_HISTORY))
+fn run_gate(rules: &str, snapshot: &str, baseline: Option<&str>) -> Result<String, String> {
+    let text = std::fs::read_to_string(rules).map_err(|e| format!("cannot read {rules}: {e}"))?;
+    let rules_list = gate::parse_rules(&text).map_err(|e| format!("{rules}: {e}"))?;
+    if rules_list.is_empty() {
+        return Err(format!("{rules} declares no rules"));
+    }
+    let current = Snapshot::load(Path::new(snapshot))?;
+    let baseline = baseline.map(|b| Snapshot::load(Path::new(b))).transpose()?;
+    gate::check(&rules_list, &current, baseline.as_ref())
 }
 
-/// Splits `args` into positional arguments and `--flag value` pairs,
-/// accepting only the listed flags.
-fn parse_history_args(
-    args: &[String],
-    allowed: &[&str],
-) -> Result<(Vec<String>, std::collections::BTreeMap<String, String>), String> {
-    let mut positional = Vec::new();
-    let mut flags = std::collections::BTreeMap::new();
+/// Parses `--rules FILE SNAPSHOT [--baseline SNAPSHOT]` in any order.
+fn parse_gate_args(args: &[String]) -> Result<(String, String, Option<String>), String> {
+    let (mut rules, mut snapshot, mut baseline) = (None, None, None);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if let Some(flag) = allowed.iter().find(|f| *f == arg) {
-            let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-            flags.insert(flag.to_string(), value.clone());
-        } else if arg.starts_with("--") {
-            return Err(format!("unknown flag `{arg}`"));
-        } else {
-            positional.push(arg.clone());
-        }
-    }
-    Ok((positional, flags))
-}
-
-fn parse_perf_args(args: &[String]) -> Result<(PathBuf, Vec<PathBuf>, f64), String> {
-    let mut current = None;
-    let mut baselines = Vec::new();
-    let mut tolerance = 0.25;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--current" => {
-                current = Some(PathBuf::from(it.next().ok_or("--current needs a path")?));
-            }
-            "--baseline" => {
-                // Consumes every following non-flag token, so shell globs
-                // like `--baseline BENCH_pr*.json` work unquoted.
-                baselines.push(PathBuf::from(
-                    it.next().ok_or("--baseline needs at least one path")?,
-                ));
-                let remaining = it.as_slice();
-                let extra = remaining
-                    .iter()
-                    .take_while(|a| !a.starts_with("--"))
-                    .count();
-                for path in &remaining[..extra] {
-                    baselines.push(PathBuf::from(path));
+        let slot = match arg.as_str() {
+            "--rules" => &mut rules,
+            "--baseline" => &mut baseline,
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            _ => {
+                if snapshot.replace(arg.clone()).is_some() {
+                    return Err("gate takes exactly one snapshot path".into());
                 }
-                it = remaining[extra..].iter();
+                continue;
             }
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .ok_or("--tolerance needs a number")?
-                    .parse()
-                    .map_err(|_| "invalid --tolerance value".to_string())?;
-            }
-            other => return Err(format!("unknown flag `{other}`")),
+        };
+        let value = it.next().ok_or_else(|| format!("{arg} needs a path"))?;
+        if slot.replace(value.clone()).is_some() {
+            return Err(format!("{arg} given twice"));
         }
     }
-    let current = current.ok_or("perf-gate needs --current")?;
-    if baselines.is_empty() {
-        return Err("perf-gate needs at least one --baseline".into());
-    }
-    Ok((current, baselines, tolerance))
+    let rules = rules.ok_or("gate needs --rules <file>")?;
+    let snapshot = snapshot.ok_or("gate needs a snapshot path")?;
+    Ok((rules, snapshot, baseline))
 }

@@ -182,21 +182,6 @@ impl Manifest {
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         Self::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
-
-    /// A counter's value, if recorded.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.get(name).copied()
-    }
-
-    /// A gauge's value, if recorded.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// A meta entry parsed as `u64`, if present and numeric.
-    pub fn meta_u64(&self, key: &str) -> Option<u64> {
-        self.meta.get(key)?.parse().ok()
-    }
 }
 
 #[cfg(test)]
@@ -217,10 +202,10 @@ mod tests {
     fn parses_every_record_type() {
         let m = Manifest::parse(SAMPLE).unwrap();
         assert_eq!(m.meta["bin"], "demo");
-        assert_eq!(m.meta_u64("seed"), Some(7));
-        assert_eq!(m.counter("dse.evals"), Some(288));
-        assert_eq!(m.gauge("scheduler.hit_rate"), Some(0.25));
-        assert!(m.gauge("nan.gauge").unwrap().is_nan());
+        assert_eq!(m.meta["seed"], "7");
+        assert_eq!(m.counters["dse.evals"], 288);
+        assert_eq!(m.gauges["scheduler.hit_rate"], 0.25);
+        assert!(m.gauges["nan.gauge"].is_nan());
         assert_eq!(m.histograms["fit_ns"].count, 2);
         let s = &m.series["dse.bo.best_edp"];
         assert_eq!(&s[..2], &[3.5, 2.0]);

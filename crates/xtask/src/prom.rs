@@ -1,23 +1,11 @@
-//! `xtask prom-check` and `xtask slo-gate`: validators for the daemon's
-//! Prometheus exposition and a declarative SLO threshold gate.
+//! `xtask prom-check`: a validator for the daemon's Prometheus
+//! exposition.
 //!
-//! `prom-check` proves a scraped snapshot is well-formed beyond merely
+//! It proves a scraped snapshot is well-formed beyond merely
 //! parsing: every sample belongs to a declared `# TYPE` family (modulo
 //! the `_sum`/`_count`/`_bucket` suffixes), histogram bucket counts are
 //! cumulative-monotone and end at `+Inf`, and summary `quantile` labels
 //! are probabilities.
-//!
-//! `slo-gate` reads a thresholds file of lines
-//!
-//! ```text
-//! # comment
-//! serve_predict_latency_ns:p99 <= 250000000
-//! serve_http_error_rate        <= 0.05
-//! serve_http_inflight          <  64
-//! ```
-//!
-//! and fails when any live value violates its bound (or is missing —
-//! an absent SLO metric is a failure, not a skip).
 
 use std::path::Path;
 use vaesa_obs::{parse_prometheus, PromSnapshot};
@@ -136,137 +124,6 @@ fn check_summary(snap: &PromSnapshot, family: &str, failures: &mut Vec<String>) 
     }
 }
 
-/// One parsed SLO threshold: `metric[:pNN] <op> <value>`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloRule {
-    /// Metric name (Prometheus-sanitized) the rule reads.
-    pub metric: String,
-    /// Quantile to resolve on a histogram/summary family, if any.
-    pub quantile: Option<f64>,
-    /// Comparison operator: `<=`, `<`, `>=`, or `>`.
-    pub op: String,
-    /// The bound the live value is compared against.
-    pub bound: f64,
-}
-
-impl SloRule {
-    fn holds(&self, value: f64) -> bool {
-        match self.op.as_str() {
-            "<=" => value <= self.bound,
-            "<" => value < self.bound,
-            ">=" => value >= self.bound,
-            ">" => value > self.bound,
-            _ => false,
-        }
-    }
-
-    fn target(&self) -> String {
-        match self.quantile {
-            Some(q) => format!("{}:p{:.0}", self.metric, q * 100.0),
-            None => self.metric.clone(),
-        }
-    }
-}
-
-/// Parses an SLO thresholds file (one rule per line; `#` comments and
-/// blank lines ignored).
-///
-/// # Errors
-///
-/// Returns a message naming the first malformed line.
-pub fn parse_slo_file(text: &str) -> Result<Vec<SloRule>, String> {
-    let mut rules = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        let [target, op, bound] = parts.as_slice() else {
-            return Err(format!(
-                "line {}: expected `<metric>[:pNN] <op> <value>`, got {line:?}",
-                lineno + 1
-            ));
-        };
-        if !matches!(*op, "<=" | "<" | ">=" | ">") {
-            return Err(format!("line {}: unknown operator {op:?}", lineno + 1));
-        }
-        let bound: f64 = bound
-            .parse()
-            .map_err(|_| format!("line {}: unparseable bound {bound:?}", lineno + 1))?;
-        let (metric, quantile) = match target.split_once(":p") {
-            Some((base, pct)) => {
-                let pct: f64 = pct
-                    .parse()
-                    .map_err(|_| format!("line {}: unparseable quantile {target:?}", lineno + 1))?;
-                if !(0.0..=100.0).contains(&pct) {
-                    return Err(format!("line {}: quantile outside [0, 100]", lineno + 1));
-                }
-                (base.to_string(), Some(pct / 100.0))
-            }
-            None => (target.to_string(), None),
-        };
-        rules.push(SloRule {
-            metric,
-            quantile,
-            op: op.to_string(),
-            bound,
-        });
-    }
-    Ok(rules)
-}
-
-/// Gates a scraped Prometheus snapshot against an SLO thresholds file.
-///
-/// # Errors
-///
-/// Returns the list of violated (or unresolvable) rules.
-pub fn slo_gate(snapshot: &Path, slo: &Path) -> Result<String, String> {
-    let text = std::fs::read_to_string(snapshot)
-        .map_err(|e| format!("cannot read {}: {e}\n", snapshot.display()))?;
-    let snap = parse_prometheus(&text).map_err(|e| format!("{}: {e}\n", snapshot.display()))?;
-    let rules_text = std::fs::read_to_string(slo)
-        .map_err(|e| format!("cannot read {}: {e}\n", slo.display()))?;
-    let rules = parse_slo_file(&rules_text).map_err(|e| e + "\n")?;
-    if rules.is_empty() {
-        return Err(format!("{} declares no SLO rules\n", slo.display()));
-    }
-
-    let mut report = String::new();
-    let mut failures = Vec::new();
-    for rule in &rules {
-        let value = match rule.quantile {
-            Some(q) => snap.quantile(&rule.metric, q),
-            None => snap.value(&rule.metric),
-        };
-        match value {
-            Some(value) if rule.holds(value) => {
-                report.push_str(&format!(
-                    "  ok   {} = {value} {} {}\n",
-                    rule.target(),
-                    rule.op,
-                    rule.bound
-                ));
-            }
-            Some(value) => failures.push(format!(
-                "  FAIL {} = {value}, want {} {}",
-                rule.target(),
-                rule.op,
-                rule.bound
-            )),
-            None => failures.push(format!(
-                "  FAIL {} is absent from the snapshot",
-                rule.target()
-            )),
-        }
-    }
-    if failures.is_empty() {
-        Ok(format!("{} rules satisfied\n{report}", rules.len()))
-    } else {
-        Err(failures.join("\n") + "\n")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,44 +172,5 @@ mod tests {
         assert!(err.contains("missing the +Inf bucket"), "{err}");
         assert!(err.contains("missing _count"), "{err}");
         let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn slo_rules_parse_quantiles_and_operators() {
-        let rules = parse_slo_file(concat!(
-            "# latency\n",
-            "serve_predict_latency_ns:p99 <= 250000000\n",
-            "\n",
-            "serve_http_error_rate <= 0.05\n",
-        ))
-        .expect("parses");
-        assert_eq!(rules.len(), 2);
-        assert_eq!(rules[0].quantile, Some(0.99));
-        assert_eq!(rules[0].metric, "serve_predict_latency_ns");
-        assert!(parse_slo_file("a b c d").is_err());
-        assert!(parse_slo_file("a == 1").is_err());
-        assert!(parse_slo_file("a:pxx <= 1").is_err());
-    }
-
-    #[test]
-    fn slo_gate_passes_and_fails_on_the_same_snapshot() {
-        let snapshot = temp_file("gate.prom", SNAPSHOT);
-        let good = temp_file(
-            "good.slo",
-            "serve_predict_latency_ns:p99 <= 2000000000\nserve_http_error_rate <= 0.05\n",
-        );
-        let report = slo_gate(&snapshot, &good).expect("slo holds");
-        assert!(report.contains("2 rules satisfied"), "{report}");
-
-        let bad = temp_file(
-            "bad.slo",
-            "serve_predict_latency_ns:p99 <= 1\nno_such_metric >= 1\n",
-        );
-        let err = slo_gate(&snapshot, &bad).unwrap_err();
-        assert!(err.contains("FAIL serve_predict_latency_ns:p99"), "{err}");
-        assert!(err.contains("absent"), "{err}");
-        for p in [snapshot, good, bad] {
-            let _ = std::fs::remove_file(p);
-        }
     }
 }

@@ -1,5 +1,5 @@
-//! Human-readable summaries and diffs of run manifests, shared by the
-//! `xtask` binary and the `vaesa-cli obs-report` subcommand.
+//! Human-readable summaries and diffs of run manifests, behind the
+//! `vaesa-cli obs-report` subcommand.
 
 use crate::manifest::Manifest;
 use std::fmt::Write as _;
