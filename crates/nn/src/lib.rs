@@ -5,11 +5,13 @@
 //! The paper trains its VAE and performance predictors with PyTorch; this
 //! crate provides the equivalent machinery from scratch:
 //!
-//! - [`Tensor`]: dense 2-D `f64` arrays (batch × features). Setting the
-//!   process-global [`Precision`] to `F32` (env `VAESA_PRECISION=f32`)
-//!   reroutes its matmul/activation/Adam hot loops through the SIMD f32
-//!   backend ([`TensorF32`] exposes the same kernels directly); `f64` stays
-//!   the bit-exact default.
+//! - [`Tensor`]: dense 2-D `f64` arrays (batch × features). Its matmul
+//!   family runs AVX2 or AVX-512 f64 kernels where the CPU has them, with
+//!   the same bits as the scalar kernels. Setting the process-global
+//!   [`Precision`] to `F32` (env `VAESA_PRECISION=f32`) reroutes its
+//!   matmul/activation/Adam hot loops through the SIMD f32 backend
+//!   ([`TensorF32`] exposes the same kernels directly); `f64` stays the
+//!   bit-exact default.
 //! - [`Graph`]: a define-by-run autodiff tape with the operations the VAESA
 //!   models need (matmul, broadcasting bias, leaky ReLU/sigmoid/tanh, exp/ln,
 //!   slicing/concatenation, MSE and Gaussian-KL losses).
@@ -54,6 +56,7 @@ mod graph;
 mod layers;
 mod optim;
 mod simd32;
+mod simd64;
 mod tensor;
 
 pub use data::{rand_uniform, randn, randn_into, Batcher};

@@ -34,13 +34,13 @@ fn f32_matmuls() -> &'static Arc<vaesa_obs::Counter> {
 
 /// SIMD tier selected once per process from runtime feature detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SimdLevel {
+pub(crate) enum SimdLevel {
     Avx512,
     Avx2,
     Scalar,
 }
 
-fn simd_level() -> SimdLevel {
+pub(crate) fn simd_level() -> SimdLevel {
     static L: OnceLock<SimdLevel> = OnceLock::new();
     *L.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
@@ -67,12 +67,13 @@ pub(crate) fn to_f32(src: &[f64]) -> Vec<f32> {
 
 /// Whether an `m x k` · `k x n`-shaped product is worth the f64→f32 round
 /// trip: the O(m·k·n) kernel must dominate the O(m·k + k·n + m·n)
-/// conversion passes. Degenerate shapes (like the predictor heads'
-/// single-column output layer) spend more on rounding traffic than the
-/// narrower arithmetic saves, so the precision-routed `Tensor` paths keep
-/// them on the f64 kernels.
+/// conversion passes by enough to beat the f64 SIMD kernels, which run at
+/// half the f32 lane count but need no conversion. On the AVX-512
+/// reference host the f32 matmul family breaks even with f64 at a ratio of
+/// about 10 to 16 (the transpose-A variant last, as it also transposes
+/// `A`); below 16 the precision-routed `Tensor` paths keep the f64 kernels.
 pub(crate) fn amortizes(m: usize, k: usize, n: usize) -> bool {
-    m * k * n >= 4 * (m * k + k * n + m * n)
+    m * k * n >= 16 * (m * k + k * n + m * n)
 }
 
 /// Transposed copy of a row-major `rows x cols` buffer.

@@ -1,0 +1,803 @@
+//! `f64` matmul kernels behind [`Tensor::matmul`](crate::Tensor::matmul),
+//! [`Tensor::matmul_transpose_a`](crate::Tensor::matmul_transpose_a) and
+//! [`Tensor::matmul_transpose_b`](crate::Tensor::matmul_transpose_b).
+//!
+//! Each product has a scalar body plus AVX2 and AVX-512F bodies generated
+//! from one template; the tier is picked once per process from the same
+//! runtime feature detection as the f32 backend, with the scalar bodies as
+//! the fallback. The SIMD bodies vectorize across output columns and give
+//! every output element exactly the multiplies and adds of the scalar body,
+//! in the same order, each rounded separately — never FMA. Every tier
+//! therefore produces the same IEEE-754 bits on every machine, so f64 stays
+//! the bit-exact reference (DESIGN.md §3.2). Per output element:
+//!
+//! - `matmul`: starting from `0.0`, one add per panel of [`PANEL`]
+//!   consecutive inner-dimension rows, panels in increasing `k`, of the
+//!   panel sum `((a₀b₀ + a₁b₁) + a₂b₂) + a₃b₃`. A short last panel is
+//!   padded with zero rows, whose `0.0 · 0.0` terms add `+0.0`.
+//! - `matmul_transpose_a`: starting from `0.0`, `+= a[r][i] · b[r][j]` for
+//!   `r` in increasing order.
+//! - `matmul_transpose_b`: four lanes, lane `t` summing from `0.0` the
+//!   products at `k ≡ t (mod 4)` over the whole chunks of four in increasing
+//!   `k`, a tail summing the leftover `k` from `0.0` in increasing order, and
+//!   the result `((l₀ + l₁) + (l₂ + l₃)) + tail`.
+//!
+//! Parallelism splits only output rows, in row blocks fixed by shape, so
+//! the bits are also independent of the thread count.
+
+use crate::simd32::{simd_level, SimdLevel};
+use crate::tensor::run_rowblocks;
+
+/// Inner-dimension panel width of the `matmul` accumulation.
+const PANEL: usize = 4;
+
+/// SIMD tile shape of `matmul` and `matmul_transpose_a`: 4 output rows × 2
+/// vectors, eight accumulators in flight.
+#[cfg(target_arch = "x86_64")]
+const ROWS: usize = 4;
+#[cfg(target_arch = "x86_64")]
+const COLS: usize = 2;
+
+/// One product over row-major buffers, `(a, b, d0, d1, d2, out)`:
+/// `(A, B, m, inner, n)` for `matmul` (`A` is `m x inner`, `B` is
+/// `inner x n`); `(A, B, r, p, n)` for `matmul_transpose_a` (`A` is `r x p`,
+/// `B` is `r x n`); `(A, B, m, inner, n)` for `matmul_transpose_b` (`A` is
+/// `m x inner`, `B` is `n x inner`). `out` is zero-filled and holds the
+/// result rows.
+pub(crate) type Product = unsafe fn(&[f64], &[f64], usize, usize, usize, &mut [f64]);
+
+/// The three products of one SIMD tier.
+pub(crate) struct Tier {
+    pub matmul: Product,
+    pub matmul_ta: Product,
+    pub matmul_tb: Product,
+}
+
+/// The tier [`simd_level`] selects for this process.
+pub(crate) fn tier() -> &'static Tier {
+    match simd_level() {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => &avx512::TIER,
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => &avx2::TIER,
+        _ => &SCALAR,
+    }
+}
+
+/// The portable bodies; every SIMD body reproduces their bits.
+pub(crate) const SCALAR: Tier = Tier {
+    matmul: matmul_scalar,
+    matmul_ta: matmul_ta_scalar,
+    matmul_tb: matmul_tb_scalar,
+};
+
+/// `unsafe` only to share the [`Product`] signature; always safe to call.
+unsafe fn matmul_scalar(a: &[f64], b: &[f64], m: usize, inner: usize, n: usize, out: &mut [f64]) {
+    run_rowblocks(out, n, m * n * inner, |first_row, chunk| {
+        for (r, out_row) in chunk.chunks_mut(n).enumerate() {
+            let a_row = &a[(first_row + r) * inner..][..inner];
+            matmul_row(a_row, b, out_row);
+        }
+    });
+}
+
+/// One output row of `A · B`: `out_row += a_row · B` with `B` row-major
+/// `inner x n`. Panels of [`PANEL`] rows of `B` in increasing `k`; each adds
+/// `((a₀b₀ + a₁b₁) + a₂b₂) + a₃b₃` to the element as separate multiplies and
+/// adds, the padding rows of a short last panel contributing `0.0 · 0.0`.
+fn matmul_row(a_row: &[f64], b: &[f64], out_row: &mut [f64]) {
+    let (inner, n) = (a_row.len(), out_row.len());
+    let mut k0 = 0;
+    while k0 + PANEL <= inner {
+        let (a0, a1, a2, a3) = (a_row[k0], a_row[k0 + 1], a_row[k0 + 2], a_row[k0 + 3]);
+        let b0 = &b[k0 * n..][..n];
+        let b1 = &b[(k0 + 1) * n..][..n];
+        let b2 = &b[(k0 + 2) * n..][..n];
+        let b3 = &b[(k0 + 3) * n..][..n];
+        for j in 0..n {
+            out_row[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+        }
+        k0 += PANEL;
+    }
+    if k0 < inner {
+        let a_at = |t: usize| if k0 + t < inner { a_row[k0 + t] } else { 0.0 };
+        let b_at = |t: usize, j: usize| {
+            if k0 + t < inner {
+                b[(k0 + t) * n + j]
+            } else {
+                0.0
+            }
+        };
+        let (a0, a1, a2, a3) = (a_at(0), a_at(1), a_at(2), a_at(3));
+        for (j, o) in out_row.iter_mut().enumerate() {
+            *o += a0 * b_at(0, j) + a1 * b_at(1, j) + a2 * b_at(2, j) + a3 * b_at(3, j);
+        }
+    }
+}
+
+/// `unsafe` only to share the [`Product`] signature; always safe to call.
+unsafe fn matmul_ta_scalar(
+    a: &[f64],
+    b: &[f64],
+    r_dim: usize,
+    p: usize,
+    n: usize,
+    out: &mut [f64],
+) {
+    run_rowblocks(out, n, p * n * r_dim, |first_row, chunk| {
+        for (i, out_row) in chunk.chunks_mut(n).enumerate() {
+            for r in 0..r_dim {
+                let coeff = a[r * p + first_row + i];
+                let b_row = &b[r * n..(r + 1) * n];
+                for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                    *o += coeff * bv;
+                }
+            }
+        }
+    });
+}
+
+/// `unsafe` only to share the [`Product`] signature; always safe to call.
+unsafe fn matmul_tb_scalar(
+    a: &[f64],
+    b: &[f64],
+    m: usize,
+    inner: usize,
+    n: usize,
+    out: &mut [f64],
+) {
+    run_rowblocks(out, n, m * n * inner, |first_row, chunk| {
+        for (i, out_row) in chunk.chunks_mut(n).enumerate() {
+            let a_row = &a[(first_row + i) * inner..][..inner];
+            for (j, o) in out_row.iter_mut().enumerate() {
+                let b_row = &b[j * inner..(j + 1) * inner];
+                // Four independent lanes break the serial add chain; their
+                // layout, and so the final value, depends on `inner` only.
+                let mut acc = [0.0f64; 4];
+                let a4 = a_row.chunks_exact(4);
+                let b4 = b_row.chunks_exact(4);
+                let (ra, rb) = (a4.remainder(), b4.remainder());
+                for (ca, cb) in a4.zip(b4) {
+                    acc[0] += ca[0] * cb[0];
+                    acc[1] += ca[1] * cb[1];
+                    acc[2] += ca[2] * cb[2];
+                    acc[3] += ca[3] * cb[3];
+                }
+                let mut tail = 0.0;
+                for (&x, &y) in ra.iter().zip(rb) {
+                    tail += x * y;
+                }
+                *o = (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail;
+            }
+        }
+    });
+}
+
+/// Expands to one SIMD tier's `TIER` and its three bodies. The expansion
+/// site supplies the vector type `V`, its width `LANES`, a tail `Mask`,
+/// `TB_ROWS` (the `matmul_transpose_b` tile height) and `#[inline]` helpers
+/// `zero`, `splat`, `add`, `mul`, `mask`, `load` and `store` compiled for
+/// `$feature`. `FULL` tiles use unmasked loads and stores; the last,
+/// partial vector of a row uses `mask(lanes)`. Every element sees the
+/// scalar body's operation sequence (module docs); the blocking only
+/// changes how many elements are in flight.
+///
+/// # Safety
+///
+/// Every generated `unsafe fn` requires `$feature`. The tile functions
+/// take raw pointers and touch exactly the rows and columns of their tile;
+/// the `*_tiles` loops keep every tile inside the buffers the three
+/// `Product` bodies were given.
+#[cfg(target_arch = "x86_64")]
+macro_rules! simd_tier {
+    ($feature:literal) => {
+        pub(crate) const TIER: super::Tier = super::Tier {
+            matmul,
+            matmul_ta,
+            matmul_tb,
+        };
+
+        /// # Safety
+        ///
+        /// Requires the tier's CPU feature.
+        unsafe fn matmul(a: &[f64], b: &[f64], m: usize, inner: usize, n: usize, out: &mut [f64]) {
+            run_rowblocks(out, n, m * n * inner, |first_row, chunk| {
+                // SAFETY: the caller guarantees the CPU feature.
+                unsafe { matmul_rows(&a[first_row * inner..], b, inner, n, chunk) }
+            });
+        }
+
+        /// # Safety
+        ///
+        /// Requires the tier's CPU feature.
+        unsafe fn matmul_ta(
+            a: &[f64],
+            b: &[f64],
+            r_dim: usize,
+            p: usize,
+            n: usize,
+            out: &mut [f64],
+        ) {
+            run_rowblocks(out, n, p * n * r_dim, |first_row, chunk| {
+                // SAFETY: the caller guarantees the CPU feature.
+                unsafe { matmul_ta_rows(&a[first_row..], b, r_dim, p, n, chunk) }
+            });
+        }
+
+        /// # Safety
+        ///
+        /// Requires the tier's CPU feature.
+        unsafe fn matmul_tb(
+            a: &[f64],
+            b: &[f64],
+            m: usize,
+            inner: usize,
+            n: usize,
+            out: &mut [f64],
+        ) {
+            // Output columns are rows of B; one O(n·inner) transpose turns
+            // each lane's operand into a contiguous load.
+            let bt = transposed(b, n, inner);
+            run_rowblocks(out, n, m * n * inner, |first_row, chunk| {
+                // SAFETY: the caller guarantees the CPU feature.
+                unsafe { matmul_tb_rows(&a[first_row * inner..], &bt, inner, n, chunk) }
+            });
+        }
+
+        /// Transposed copy of a row-major `rows x cols` buffer, moving 4×4
+        /// blocks through 256-bit registers (every AVX-512F CPU has AVX2).
+        #[target_feature(enable = $feature)]
+        unsafe fn transposed(src: &[f64], rows: usize, cols: usize) -> Vec<f64> {
+            let mut out = vec![0.0; src.len()];
+            let (s, o) = (src.as_ptr(), out.as_mut_ptr());
+            let (rows4, cols4) = (rows - rows % 4, cols - cols % 4);
+            for r in (0..rows4).step_by(4) {
+                for c in (0..cols4).step_by(4) {
+                    let p = s.add(r * cols + c);
+                    let x0 = _mm256_loadu_pd(p);
+                    let x1 = _mm256_loadu_pd(p.add(cols));
+                    let x2 = _mm256_loadu_pd(p.add(2 * cols));
+                    let x3 = _mm256_loadu_pd(p.add(3 * cols));
+                    // Pairs of rows interleaved, then 128-bit halves swapped.
+                    let t0 = _mm256_unpacklo_pd(x0, x1);
+                    let t1 = _mm256_unpackhi_pd(x0, x1);
+                    let t2 = _mm256_unpacklo_pd(x2, x3);
+                    let t3 = _mm256_unpackhi_pd(x2, x3);
+                    let q = o.add(c * rows + r);
+                    _mm256_storeu_pd(q, _mm256_permute2f128_pd::<0x20>(t0, t2));
+                    _mm256_storeu_pd(q.add(rows), _mm256_permute2f128_pd::<0x20>(t1, t3));
+                    _mm256_storeu_pd(q.add(2 * rows), _mm256_permute2f128_pd::<0x31>(t0, t2));
+                    _mm256_storeu_pd(q.add(3 * rows), _mm256_permute2f128_pd::<0x31>(t1, t3));
+                }
+            }
+            for r in 0..rows {
+                let edge = if r < rows4 { cols4 } else { 0 };
+                for c in edge..cols {
+                    *o.add(c * rows + r) = *s.add(r * cols + c);
+                }
+            }
+            out
+        }
+
+        /// `out = A · B` for the rows of `out`, `a` starting at the first.
+        #[target_feature(enable = $feature)]
+        unsafe fn matmul_rows(a: &[f64], b: &[f64], inner: usize, n: usize, out: &mut [f64]) {
+            let (a, b, o) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+            let rows = out.len() / n;
+            let mut r = 0;
+            while r + ROWS <= rows {
+                matmul_tiles::<ROWS>(a.add(r * inner), b, inner, n, o.add(r * n));
+                r += ROWS;
+            }
+            for r in r..rows {
+                matmul_tiles::<1>(a.add(r * inner), b, inner, n, o.add(r * n));
+            }
+        }
+
+        #[inline]
+        #[target_feature(enable = $feature)]
+        unsafe fn matmul_tiles<const R: usize>(
+            a: *const f64,
+            b: *const f64,
+            inner: usize,
+            n: usize,
+            o: *mut f64,
+        ) {
+            let mut j = 0;
+            while j + COLS * LANES <= n {
+                matmul_tile::<R, COLS, true>(a, b.add(j), inner, n, o.add(j), mask(LANES));
+                j += COLS * LANES;
+            }
+            while j + LANES <= n {
+                matmul_tile::<R, 1, true>(a, b.add(j), inner, n, o.add(j), mask(LANES));
+                j += LANES;
+            }
+            if j < n {
+                matmul_tile::<R, 1, false>(a, b.add(j), inner, n, o.add(j), mask(n - j));
+            }
+        }
+
+        /// `R` rows × `C` vectors of `A · B`: `a` points at the first
+        /// row's first element, `b` and `out` at the tile's first column.
+        #[inline]
+        #[target_feature(enable = $feature)]
+        unsafe fn matmul_tile<const R: usize, const C: usize, const FULL: bool>(
+            a: *const f64,
+            b: *const f64,
+            inner: usize,
+            n: usize,
+            out: *mut f64,
+            m: Mask,
+        ) {
+            let mut acc = [[zero(); C]; R];
+            let mut k0 = 0;
+            while k0 + PANEL <= inner {
+                for c in 0..C {
+                    let bp = b.add(k0 * n + c * LANES);
+                    let b0 = load::<FULL>(bp, m);
+                    let b1 = load::<FULL>(bp.add(n), m);
+                    let b2 = load::<FULL>(bp.add(2 * n), m);
+                    let b3 = load::<FULL>(bp.add(3 * n), m);
+                    for (r, acc_r) in acc.iter_mut().enumerate() {
+                        let ap = a.add(r * inner + k0);
+                        let mut s = mul(splat(*ap), b0);
+                        s = add(s, mul(splat(*ap.add(1)), b1));
+                        s = add(s, mul(splat(*ap.add(2)), b2));
+                        s = add(s, mul(splat(*ap.add(3)), b3));
+                        acc_r[c] = add(acc_r[c], s);
+                    }
+                }
+                k0 += PANEL;
+            }
+            if k0 < inner {
+                let live = inner - k0;
+                for c in 0..C {
+                    let bp = b.add(k0 * n + c * LANES);
+                    for (r, acc_r) in acc.iter_mut().enumerate() {
+                        let ap = a.add(r * inner + k0);
+                        let mut s = mul(splat(*ap), load::<FULL>(bp, m));
+                        for t in 1..PANEL {
+                            // A padding row's `0.0 · 0.0` term is `+0.0`.
+                            let term = if t < live {
+                                mul(splat(*ap.add(t)), load::<FULL>(bp.add(t * n), m))
+                            } else {
+                                zero()
+                            };
+                            s = add(s, term);
+                        }
+                        acc_r[c] = add(acc_r[c], s);
+                    }
+                }
+            }
+            for (r, acc_r) in acc.iter().enumerate() {
+                for (c, &v) in acc_r.iter().enumerate() {
+                    store::<FULL>(out.add(r * n + c * LANES), m, v);
+                }
+            }
+        }
+
+        /// `out = Aᵀ · B` for the rows of `out`, `a` starting at the column
+        /// of `A` (`r_dim x p`) that gives the first.
+        #[target_feature(enable = $feature)]
+        unsafe fn matmul_ta_rows(
+            a: &[f64],
+            b: &[f64],
+            r_dim: usize,
+            p: usize,
+            n: usize,
+            out: &mut [f64],
+        ) {
+            let (a, b, o) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+            let rows = out.len() / n;
+            let mut i = 0;
+            while i + ROWS <= rows {
+                matmul_ta_tiles::<ROWS>(a.add(i), b, r_dim, p, n, o.add(i * n));
+                i += ROWS;
+            }
+            for i in i..rows {
+                matmul_ta_tiles::<1>(a.add(i), b, r_dim, p, n, o.add(i * n));
+            }
+        }
+
+        #[inline]
+        #[target_feature(enable = $feature)]
+        unsafe fn matmul_ta_tiles<const R: usize>(
+            a: *const f64,
+            b: *const f64,
+            r_dim: usize,
+            p: usize,
+            n: usize,
+            o: *mut f64,
+        ) {
+            let mut j = 0;
+            while j + COLS * LANES <= n {
+                matmul_ta_tile::<R, COLS, true>(a, b.add(j), r_dim, p, n, o.add(j), mask(LANES));
+                j += COLS * LANES;
+            }
+            while j + LANES <= n {
+                matmul_ta_tile::<R, 1, true>(a, b.add(j), r_dim, p, n, o.add(j), mask(LANES));
+                j += LANES;
+            }
+            if j < n {
+                matmul_ta_tile::<R, 1, false>(a, b.add(j), r_dim, p, n, o.add(j), mask(n - j));
+            }
+        }
+
+        /// `R` rows × `C` vectors of `Aᵀ · B`: `a` points at the tile's
+        /// first column of `A`'s first row, `b` and `out` at the tile's
+        /// first output column.
+        #[allow(clippy::too_many_arguments)]
+        #[inline]
+        #[target_feature(enable = $feature)]
+        unsafe fn matmul_ta_tile<const R: usize, const C: usize, const FULL: bool>(
+            a: *const f64,
+            b: *const f64,
+            r_dim: usize,
+            p: usize,
+            n: usize,
+            out: *mut f64,
+            m: Mask,
+        ) {
+            let mut acc = [[zero(); C]; R];
+            for r in 0..r_dim {
+                let mut bv = [zero(); C];
+                for (c, v) in bv.iter_mut().enumerate() {
+                    *v = load::<FULL>(b.add(r * n + c * LANES), m);
+                }
+                for (i, acc_i) in acc.iter_mut().enumerate() {
+                    let coeff = splat(*a.add(r * p + i));
+                    for (s, &v) in acc_i.iter_mut().zip(&bv) {
+                        *s = add(*s, mul(coeff, v));
+                    }
+                }
+            }
+            for (i, acc_i) in acc.iter().enumerate() {
+                for (c, &v) in acc_i.iter().enumerate() {
+                    store::<FULL>(out.add(i * n + c * LANES), m, v);
+                }
+            }
+        }
+
+        /// `out = A · Bᵀ` for the rows of `out`, `a` starting at the first
+        /// and `bt = Bᵀ` (`inner x n`).
+        #[target_feature(enable = $feature)]
+        unsafe fn matmul_tb_rows(a: &[f64], bt: &[f64], inner: usize, n: usize, out: &mut [f64]) {
+            let (a, bt, o) = (a.as_ptr(), bt.as_ptr(), out.as_mut_ptr());
+            let rows = out.len() / n;
+            let mut r = 0;
+            while r + TB_ROWS <= rows {
+                matmul_tb_tiles::<TB_ROWS>(a.add(r * inner), bt, inner, n, o.add(r * n));
+                r += TB_ROWS;
+            }
+            for r in r..rows {
+                matmul_tb_tiles::<1>(a.add(r * inner), bt, inner, n, o.add(r * n));
+            }
+        }
+
+        #[inline]
+        #[target_feature(enable = $feature)]
+        unsafe fn matmul_tb_tiles<const R: usize>(
+            a: *const f64,
+            bt: *const f64,
+            inner: usize,
+            n: usize,
+            o: *mut f64,
+        ) {
+            let mut j = 0;
+            while j + LANES <= n {
+                matmul_tb_tile::<R, true>(a, bt.add(j), inner, n, o.add(j), mask(LANES));
+                j += LANES;
+            }
+            if j < n {
+                matmul_tb_tile::<R, false>(a, bt.add(j), inner, n, o.add(j), mask(n - j));
+            }
+        }
+
+        /// `R` rows × one vector of `A · Bᵀ`: four lane accumulators and a
+        /// tail per element, combined as `((l₀ + l₁) + (l₂ + l₃)) + tail`.
+        /// `a` points at the first row, `bt` and `out` at the first column.
+        #[inline]
+        #[target_feature(enable = $feature)]
+        unsafe fn matmul_tb_tile<const R: usize, const FULL: bool>(
+            a: *const f64,
+            bt: *const f64,
+            inner: usize,
+            n: usize,
+            out: *mut f64,
+            m: Mask,
+        ) {
+            let mut lanes = [[zero(); 4]; R];
+            let mut k = 0;
+            while k + 4 <= inner {
+                for t in 0..4 {
+                    let bv = load::<FULL>(bt.add((k + t) * n), m);
+                    for (r, lanes_r) in lanes.iter_mut().enumerate() {
+                        lanes_r[t] = add(lanes_r[t], mul(splat(*a.add(r * inner + k + t)), bv));
+                    }
+                }
+                k += 4;
+            }
+            let mut tail = [zero(); R];
+            while k < inner {
+                let bv = load::<FULL>(bt.add(k * n), m);
+                for (r, tail_r) in tail.iter_mut().enumerate() {
+                    *tail_r = add(*tail_r, mul(splat(*a.add(r * inner + k)), bv));
+                }
+                k += 1;
+            }
+            for (r, l) in lanes.iter().enumerate() {
+                let v = add(add(add(l[0], l[1]), add(l[2], l[3])), tail[r]);
+                store::<FULL>(out.add(r * n), m, v);
+            }
+        }
+    };
+}
+
+/// 256-bit bodies: four `f64` lanes, `maskload`/`maskstore` tails.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{run_rowblocks, COLS, PANEL, ROWS};
+    use std::arch::x86_64::*;
+
+    type V = __m256d;
+    type Mask = __m256i;
+    const LANES: usize = 4;
+    /// Sixteen registers hold 2 rows × 4 lanes of `matmul_transpose_b`
+    /// accumulators, not 4 rows.
+    const TB_ROWS: usize = 2;
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn zero() -> V {
+        _mm256_setzero_pd()
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn splat(x: f64) -> V {
+        _mm256_set1_pd(x)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn add(x: V, y: V) -> V {
+        _mm256_add_pd(x, y)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn mul(x: V, y: V) -> V {
+        _mm256_mul_pd(x, y)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn mask(lanes: usize) -> Mask {
+        _mm256_cmpgt_epi64(
+            _mm256_set1_epi64x(lanes as i64),
+            _mm256_setr_epi64x(0, 1, 2, 3),
+        )
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load<const FULL: bool>(p: *const f64, m: Mask) -> V {
+        if FULL {
+            _mm256_loadu_pd(p)
+        } else {
+            _mm256_maskload_pd(p, m)
+        }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store<const FULL: bool>(p: *mut f64, m: Mask, v: V) {
+        if FULL {
+            _mm256_storeu_pd(p, v)
+        } else {
+            _mm256_maskstore_pd(p, m, v)
+        }
+    }
+
+    simd_tier!("avx2");
+}
+
+/// 512-bit bodies: eight `f64` lanes, mask-register tails.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{run_rowblocks, COLS, PANEL, ROWS};
+    use std::arch::x86_64::*;
+
+    type V = __m512d;
+    type Mask = __mmask8;
+    const LANES: usize = 8;
+    /// Thirty-two registers hold 4 rows × 4 lanes of `matmul_transpose_b`
+    /// accumulators.
+    const TB_ROWS: usize = 4;
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn zero() -> V {
+        _mm512_setzero_pd()
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn splat(x: f64) -> V {
+        _mm512_set1_pd(x)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn add(x: V, y: V) -> V {
+        _mm512_add_pd(x, y)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn mul(x: V, y: V) -> V {
+        _mm512_mul_pd(x, y)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn mask(lanes: usize) -> Mask {
+        ((1u32 << lanes) - 1) as Mask
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load<const FULL: bool>(p: *const f64, m: Mask) -> V {
+        if FULL {
+            _mm512_loadu_pd(p)
+        } else {
+            _mm512_maskz_loadu_pd(m, p)
+        }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn store<const FULL: bool>(p: *mut f64, m: Mask, v: V) {
+        if FULL {
+            _mm512_storeu_pd(p, v)
+        } else {
+            _mm512_mask_storeu_pd(p, m, v)
+        }
+    }
+
+    simd_tier!("avx512f");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The SIMD tiers this CPU can run, by name.
+    fn simd_tiers() -> Vec<(&'static str, &'static Tier)> {
+        #[allow(unused_mut)]
+        let mut tiers = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                tiers.push(("avx2", &avx2::TIER));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                tiers.push(("avx512f", &avx512::TIER));
+            }
+        }
+        tiers
+    }
+
+    /// Value mixes: mostly normal values with signed zeros and subnormals;
+    /// the same with ±Inf and overflowing magnitudes (so results hold ±Inf
+    /// and NaN); and only zeros and subnormals, whose products underflow to
+    /// signed zeros.
+    #[derive(Clone, Copy, Debug)]
+    enum Mix {
+        Finite,
+        NonFinite,
+        Tiny,
+    }
+
+    fn values(len: usize, salt: u64, mix: Mix) -> Vec<f64> {
+        let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let sign = if state & (1 << 20) == 0 { 1.0 } else { -1.0 };
+                let normal = ((state >> 11) as f64 / (1u64 << 53) as f64) * 4.0 - 2.0;
+                let subnormal = sign * f64::from_bits((state >> 13) & ((1 << 40) - 1));
+                match (mix, (state >> 58) % 32) {
+                    (_, 0) => 0.0,
+                    (_, 1) => -0.0,
+                    (_, 2 | 3) => subnormal,
+                    (Mix::NonFinite, 4) => sign * f64::INFINITY,
+                    (Mix::NonFinite, 5) => sign * 1e300,
+                    (Mix::Tiny, 4..=15) => subnormal,
+                    (Mix::Tiny, _) => sign * 0.0,
+                    _ => normal,
+                }
+            })
+            .collect()
+    }
+
+    /// `m x k x n` shapes with every dimension in `1..=70`: every `n` (so
+    /// every remainder mod 4 and mod 8), `inner == 1`, and row counts
+    /// covering every remainder of the row blocking.
+    fn shapes() -> Vec<(usize, usize, usize)> {
+        const MS: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 64, 70];
+        const KS: [usize; 13] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 17, 33, 70];
+        let mut shapes = Vec::new();
+        for n in 1..=70 {
+            shapes.push((MS[n % MS.len()], 1, n));
+            for t in 0..3 {
+                shapes.push((MS[(n + 5 * t) % MS.len()], KS[(3 * n + t) % KS.len()], n));
+            }
+        }
+        shapes
+    }
+
+    /// Finite (and infinite) results must agree bit for bit; NaN results
+    /// must sit at the same positions.
+    fn assert_same_bits(want: &[f64], got: &[f64], what: &str) {
+        for (e, (&w, &g)) in want.iter().zip(got).enumerate() {
+            let same = if w.is_nan() {
+                g.is_nan()
+            } else {
+                w.to_bits() == g.to_bits()
+            };
+            assert!(same, "{what}: element {e} is {g:e}, scalar gives {w:e}");
+        }
+    }
+
+    const NAMES: [&str; 3] = ["matmul", "matmul_transpose_a", "matmul_transpose_b"];
+
+    /// `tier`'s three products for one `m x k x n` shape: `matmul` and
+    /// `matmul_transpose_b` read `a` as `m x k`, `matmul_transpose_a` as
+    /// `k x m` (`r x p`); `bt` is `n x k`.
+    fn products(
+        tier: &Tier,
+        a: &[f64],
+        b: &[f64],
+        bt: &[f64],
+        (m, k, n): (usize, usize, usize),
+    ) -> [Vec<f64>; 3] {
+        let run = |f: Product, b: &[f64], d0: usize, d1: usize| {
+            let mut out = vec![0.0; m * n];
+            // SAFETY: `simd_tiers` checked the CPU features.
+            unsafe { f(a, b, d0, d1, n, &mut out) };
+            out
+        };
+        [
+            run(tier.matmul, b, m, k),
+            run(tier.matmul_ta, b, k, m),
+            run(tier.matmul_tb, bt, m, k),
+        ]
+    }
+
+    #[test]
+    fn simd_bodies_match_the_scalar_bodies_bit_for_bit() {
+        let tiers = simd_tiers();
+        if tiers.is_empty() {
+            println!("this CPU has no AVX2: checked only the scalar body");
+        }
+        for mix in [Mix::Finite, Mix::NonFinite, Mix::Tiny] {
+            for (s, &(m, k, n)) in shapes().iter().enumerate() {
+                let salt = s as u64 * 3;
+                let a = values(m * k, salt, mix);
+                let b = values(k * n, salt + 1, mix);
+                let bt = values(n * k, salt + 2, mix);
+                let want = products(&SCALAR, &a, &b, &bt, (m, k, n));
+                for &(tier_name, tier) in &tiers {
+                    let got = products(tier, &a, &b, &bt, (m, k, n));
+                    for ((name, w), g) in NAMES.iter().zip(&want).zip(&got) {
+                        let what = format!("{tier_name} {name} {m}x{k}x{n} {mix:?}");
+                        assert_same_bits(w, g, &what);
+                    }
+                }
+            }
+        }
+    }
+}

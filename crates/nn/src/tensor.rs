@@ -390,19 +390,22 @@ impl Tensor {
         self.map(|v| v * k)
     }
 
-    /// Matrix product `self * other`, using a cache-blocked, B-packed
-    /// kernel that parallelizes over output rows for large products.
+    /// Matrix product `self * other`, parallelized over output rows for
+    /// large products.
     ///
-    /// The inner dimension is processed in fixed panels of
-    /// [`KERNEL_PANEL`] with a pinned accumulation order, so results are
-    /// bit-identical for every thread count (see DESIGN.md, "Threading &
-    /// determinism policy"). When the active [`Precision`] is `F32`, the
-    /// product (like both fused transpose variants) routes through the
-    /// runtime-dispatched SIMD f32 backend instead — same fixed
-    /// accumulation order, tolerance-tested accuracy — for every shape
-    /// whose O(m·k·n) kernel work amortizes the f64→f32 round trip;
-    /// degenerate products keep the f64 kernels (a deterministic,
-    /// shape-only choice).
+    /// Every output element adds, panel by panel in increasing `k`, the
+    /// four-term sum of a panel of four inner-dimension rows (a short last
+    /// panel padded with zero rows), with separate multiplies and adds. The
+    /// scalar, AVX2 and AVX-512 kernels all run that sequence, so results
+    /// are bit-identical on every machine and for every thread count (see
+    /// DESIGN.md, "Threading & determinism policy").
+    ///
+    /// When the active [`Precision`] is `F32`, the product (like both fused
+    /// transpose variants) routes through the runtime-dispatched SIMD f32
+    /// backend instead — same fixed accumulation order, tolerance-tested
+    /// accuracy — for every shape whose O(m·k·n) kernel work amortizes the
+    /// f64→f32 round trip; smaller products keep the f64 kernels (a
+    /// deterministic, shape-only choice).
     ///
     /// # Panics
     ///
@@ -422,11 +425,10 @@ impl Tensor {
             crate::simd32::matmul_into(&self.data, &other.data, m, inner, n, &mut out.data);
             return out;
         }
-        let packed = pack_b_panels(&other.data, inner, n);
-        run_rowwise(&mut out.data, n, m * n * inner, |i, out_row| {
-            let a_row = &self.data[i * inner..(i + 1) * inner];
-            packed_panel_product(a_row, &packed, out_row, n);
-        });
+        // SAFETY: the tier was selected under runtime feature detection.
+        unsafe {
+            (crate::simd64::tier().matmul)(&self.data, &other.data, m, inner, n, &mut out.data)
+        };
         out
     }
 
@@ -455,23 +457,23 @@ impl Tensor {
             crate::simd32::matmul_ta_into(&self.data, &other.data, r_dim, p, n, &mut out.data);
             return out;
         }
-        run_rowwise(&mut out.data, n, p * n * r_dim, |i, out_row| {
-            for r in 0..r_dim {
-                let coeff = self.data[r * p + i];
-                let b_row = &other.data[r * n..(r + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += coeff * b;
-                }
-            }
-        });
+        // SAFETY: the tier was selected under runtime feature detection.
+        unsafe {
+            (crate::simd64::tier().matmul_ta)(&self.data, &other.data, r_dim, p, n, &mut out.data)
+        };
         out
     }
 
-    /// Fused product `self * otherᵀ` without materializing the transpose.
+    /// Fused product `self * otherᵀ` without materializing `otherᵀ` as a
+    /// tensor.
     ///
     /// `self` is `m x k`, `other` is `n x k`; the result is `m x n` built
-    /// from contiguous row dot products, accumulated in increasing `k`
-    /// order for every output element.
+    /// from row dot products. Each dot product accumulates in four
+    /// interleaved lanes (lane `t` takes the products at `k ≡ t (mod 4)`
+    /// over whole chunks of four, in increasing `k`), sums the leftover
+    /// `k % 4` products in a tail, and returns
+    /// `((l₀ + l₁) + (l₂ + l₃)) + tail`, independent of thread count and
+    /// SIMD tier.
     ///
     /// # Panics
     ///
@@ -491,30 +493,10 @@ impl Tensor {
             crate::simd32::matmul_tb_into(&self.data, &other.data, m, inner, n, &mut out.data);
             return out;
         }
-        run_rowwise(&mut out.data, n, m * n * inner, |i, out_row| {
-            let a_row = &self.data[i * inner..(i + 1) * inner];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = &other.data[j * inner..(j + 1) * inner];
-                // Four independent accumulation lanes break the serial FP add
-                // dependency chain; the lane layout (and thus the final value)
-                // is fixed and independent of the thread count.
-                let mut acc = [0.0f64; 4];
-                let a4 = a_row.chunks_exact(4);
-                let b4 = b_row.chunks_exact(4);
-                let (ra, rb) = (a4.remainder(), b4.remainder());
-                for (ca, cb) in a4.zip(b4) {
-                    acc[0] += ca[0] * cb[0];
-                    acc[1] += ca[1] * cb[1];
-                    acc[2] += ca[2] * cb[2];
-                    acc[3] += ca[3] * cb[3];
-                }
-                let mut tail = 0.0;
-                for (&a, &b) in ra.iter().zip(rb) {
-                    tail += a * b;
-                }
-                *o = (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail;
-            }
-        });
+        // SAFETY: the tier was selected under runtime feature detection.
+        unsafe {
+            (crate::simd64::tier().matmul_tb)(&self.data, &other.data, m, inner, n, &mut out.data)
+        };
         out
     }
 
@@ -655,72 +637,23 @@ impl Tensor {
     }
 }
 
-/// Inner-dimension panel width of the blocked matmul kernel. Four packed
-/// B rows per panel keeps the working set inside L1 while letting the
-/// compiler vectorize the fused per-column accumulation.
-const KERNEL_PANEL: usize = 4;
-
 /// Output rows per parallel work chunk.
 const ROW_BLOCK: usize = 4;
 
 /// Multiply-accumulate count above which a product is worth fanning out
-/// to the worker pool (below it, thread spawn costs dominate).
-const PAR_FLOP_THRESHOLD: usize = 1 << 18;
+/// to the worker pool (below it, thread spawn costs dominate). The SIMD f64
+/// bodies run about 10^7 multiply-accumulates per millisecond, so a product
+/// below 2^20 finishes serially within a few spawn-and-joins of the pool.
+const PAR_FLOP_THRESHOLD: usize = 1 << 20;
 
-/// Packs the `inner x n` matrix `b` into zero-padded panels of
-/// [`KERNEL_PANEL`] consecutive inner-dimension rows, interleaved per
-/// column: element `t` of panel `p` for column `j` lands at
-/// `[p * PANEL * n + j * PANEL + t]`. The layout makes the kernel's inner
-/// loop a contiguous stream regardless of `n`.
-fn pack_b_panels(b: &[f64], inner: usize, n: usize) -> Vec<f64> {
-    let panels = inner.div_ceil(KERNEL_PANEL);
-    let mut packed = vec![0.0; panels * KERNEL_PANEL * n];
-    for p in 0..panels {
-        let base = p * KERNEL_PANEL * n;
-        for t in 0..KERNEL_PANEL {
-            let k = p * KERNEL_PANEL + t;
-            if k >= inner {
-                break;
-            }
-            let b_row = &b[k * n..(k + 1) * n];
-            for (j, &v) in b_row.iter().enumerate() {
-                packed[base + j * KERNEL_PANEL + t] = v;
-            }
-        }
-    }
-    packed
-}
-
-/// One output row of the blocked product: `out_row += a_row * B` with `B`
-/// pre-packed by [`pack_b_panels`]. The accumulation order — panels in
-/// increasing `k`, four fused multiply-adds per panel — is fixed, so the
-/// result never depends on how rows were distributed across threads.
-fn packed_panel_product(a_row: &[f64], packed: &[f64], out_row: &mut [f64], n: usize) {
-    let inner = a_row.len();
-    for (p, panel) in packed.chunks_exact(KERNEL_PANEL * n).enumerate() {
-        let k0 = p * KERNEL_PANEL;
-        let a0 = a_row[k0];
-        let a1 = if k0 + 1 < inner { a_row[k0 + 1] } else { 0.0 };
-        let a2 = if k0 + 2 < inner { a_row[k0 + 2] } else { 0.0 };
-        let a3 = if k0 + 3 < inner { a_row[k0 + 3] } else { 0.0 };
-        for (o, col) in out_row.iter_mut().zip(panel.chunks_exact(KERNEL_PANEL)) {
-            *o += a0 * col[0] + a1 * col[1] + a2 * col[2] + a3 * col[3];
-        }
-    }
-}
-
-/// Runs `kernel(row_index, out_row)` over every `n`-wide row of `data`,
+/// Runs `kernel(first_row, chunk)` over consecutive [`ROW_BLOCK`]-row
+/// chunks of the `n`-wide rows of `data` (the last chunk possibly short),
 /// fanning out to the worker pool when the product is large enough
-/// (`flops` multiply-accumulates) and a pool exists. Row blocks are fixed
-/// by [`ROW_BLOCK`], never by thread count, so the arithmetic each output
-/// element sees is identical in serial and parallel runs. Generic over the
+/// (`flops` multiply-accumulates) and a pool exists. Chunk boundaries are
+/// fixed by [`ROW_BLOCK`], never by thread count, so the arithmetic each
+/// output element sees is identical in serial and parallel runs. Kernels
+/// get whole blocks so they can register-block over rows. Generic over the
 /// element type so the f64 and f32 kernels share one fan-out policy.
-/// Like [`run_rowwise`], but hands the kernel whole [`ROW_BLOCK`]-row
-/// chunks (`kernel(first_row, chunk)`, the last chunk possibly short).
-/// The f32 backend's register-blocked matmul kernel wants all rows of a
-/// block at once so it can keep one FMA chain per row in flight; the chunk
-/// boundaries are identical to [`run_rowwise`]'s parallel distribution, so
-/// the arithmetic each output element sees is unchanged.
 pub(crate) fn run_rowblocks<T: Send>(
     data: &mut [T],
     n: usize,
@@ -735,27 +668,6 @@ pub(crate) fn run_rowblocks<T: Send>(
     } else {
         for (c, chunk) in data.chunks_mut(ROW_BLOCK * n).enumerate() {
             kernel(c * ROW_BLOCK, chunk);
-        }
-    }
-}
-
-pub(crate) fn run_rowwise<T: Send>(
-    data: &mut [T],
-    n: usize,
-    flops: usize,
-    kernel: impl Fn(usize, &mut [T]) + Sync,
-) {
-    debug_assert_eq!(data.len() % n, 0);
-    if flops >= PAR_FLOP_THRESHOLD && vaesa_par::num_threads() > 1 {
-        vaesa_par::par_chunks_mut(data, ROW_BLOCK * n, |_, offset, chunk| {
-            let first_row = offset / n;
-            for (r, out_row) in chunk.chunks_mut(n).enumerate() {
-                kernel(first_row + r, out_row);
-            }
-        });
-    } else {
-        for (i, out_row) in data.chunks_mut(n).enumerate() {
-            kernel(i, out_row);
         }
     }
 }
@@ -940,8 +852,8 @@ mod tests {
     #[test]
     fn blocked_matmul_is_deterministic_across_thread_counts() {
         // Big enough to cross PAR_FLOP_THRESHOLD and actually fan out.
-        let a = pattern_tensor(96, 80, 1);
-        let b = pattern_tensor(80, 96, 2);
+        let a = pattern_tensor(130, 80, 1);
+        let b = pattern_tensor(80, 103, 2);
         let baseline = {
             std::env::set_var("VAESA_THREADS", "1");
             a.matmul(&b)

@@ -30,7 +30,7 @@
 //! ([`write_manifest`]): one self-describing record per line, in a fixed
 //! record-type order with names sorted lexicographically, so two manifests
 //! of the same experiment diff cleanly — only values that genuinely
-//! changed produce diff hunks. The CI gates (`xtask metrics-gate`,
+//! changed produce diff hunks. The CI gates (`xtask gate --rules`,
 //! `xtask determinism`) and the `vaesa-cli obs-report` subcommand are all
 //! readers of this format; see `DESIGN.md` §2.10. Live services export the
 //! same registry in the Prometheus text format instead
