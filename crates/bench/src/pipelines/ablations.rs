@@ -590,15 +590,16 @@ pub(super) fn build_scheduler(env: &Arc<PipelineEnv>) -> Result<FlowGraph, Strin
                     archs_used += 1;
 
                     for (li, layer) in layers.iter().enumerate() {
-                        let unit = model
-                            .evaluate(&arch, layer, &Mapping::unit())
+                        let prepared = model.prepare(&arch, layer);
+                        let unit = prepared
+                            .evaluate(&Mapping::unit())
                             .map_err(|e| format!("unit mapping rejected: {e}"))?;
                         logs[0].push(unit.edp().ln());
 
                         let mut best_random = f64::INFINITY;
                         for _ in 0..n_random_mappings {
                             let m = random_mapping(&arch, layer, &mut rng);
-                            if let Ok(e) = model.evaluate(&arch, layer, &m) {
+                            if let Ok(e) = prepared.evaluate(&m) {
                                 best_random = best_random.min(e.edp());
                             }
                         }

@@ -1,10 +1,12 @@
 //! Figure 11 + Table V pipeline: Bayesian optimization with and without
 //! the VAESA latent space, per DNN workload.
 //!
-//! Graph shape: `dataset → train → search_<net> → {csv,render,report}`
-//! per network, plus a final Table V node over all four searches. The
-//! search nodes persist their traces, so a plot-only tweak re-renders
-//! without re-searching.
+//! Graph shape, per network: `dataset → search_<net>` (random and bo in
+//! the input space) and `dataset, train → search_<net>_vae` (vae_bo), both
+//! feeding `{csv,render,report}_<net>`; plus a final Table V node over all
+//! eight searches. The input-space searches need no model, so they run
+//! while `train` does. The search nodes persist their traces, so a
+//! plot-only tweak re-renders without re-searching.
 
 use std::sync::Arc;
 
@@ -39,6 +41,14 @@ fn aggregated(traces: &[Vec<Trace>], budget: usize) -> Vec<Vec<(f64, f64)>> {
         .collect()
 }
 
+/// The `[random, bo, vae_bo]` trace groups of one network, from its
+/// input-space and latent-space search nodes.
+fn method_traces(direct: &Value, latent: &Value) -> Result<Vec<Vec<Trace>>, String> {
+    let mut traces = util::value_trace_groups(direct)?;
+    traces.extend(util::value_trace_groups(latent)?);
+    Ok(traces)
+}
+
 fn comparison(traces: Vec<Vec<Trace>>, budget: usize) -> Comparison {
     let mut it = traces.into_iter();
     let random_runs = MethodRuns::new("random", it.next().expect("random"));
@@ -63,10 +73,45 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
     for (w, network) in Network::ALL.into_iter().enumerate() {
         let short = short_name(network);
         let search_id = format!("search_{short}");
+        let vae_id = format!("search_{short}_vae");
+        // One RNG stream per (network, seed, method), whichever node runs it.
+        let stream =
+            move |seed: usize, method: u64| 10_000 + (w as u64) * 100 + (seed as u64) * 10 + method;
 
         let env2 = Arc::clone(env);
         nodes.push(
             NodeSpec::new(&search_id, StageKind::Engine("bo".into()))
+                .dep("dataset")
+                .param("network", network.name())
+                .param("stream_base", w)
+                .param("budget", budget)
+                .param("seeds", seeds)
+                .runs(move |deps| {
+                    let dataset = deps[0].as_mem::<Dataset>().ok_or("dataset unavailable")?;
+                    env2.expect_evals(budget * seeds * 2);
+                    let layers = network.layers();
+                    let evaluator =
+                        HardwareEvaluator::new(&env2.setup.space, &env2.setup.scheduler, &layers);
+                    let driver = DseDriver::new(&evaluator, &dataset);
+                    let bo = BoEngine::default();
+                    let mut traces: Vec<Vec<Trace>> = vec![Vec::new(); 2];
+                    for seed in 0..seeds {
+                        let rng = |m| env2.args.rng(stream(seed, m));
+                        traces[0].push(driver.run(
+                            &RandomEngine,
+                            SpaceMode::Direct,
+                            budget,
+                            &mut rng(0),
+                        ));
+                        traces[1].push(driver.run(&bo, SpaceMode::Direct, budget, &mut rng(1)));
+                    }
+                    Ok(util::trace_groups_value(&traces))
+                }),
+        );
+
+        let env2 = Arc::clone(env);
+        nodes.push(
+            NodeSpec::new(&vae_id, StageKind::Engine("vae_bo".into()))
                 .dep("dataset")
                 .dep("train")
                 .param("network", network.name())
@@ -78,37 +123,29 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
                     let trained = deps[1]
                         .as_mem::<TrainArtifact>()
                         .ok_or("model unavailable")?;
-                    env2.expect_evals(budget * seeds * 3);
+                    env2.expect_evals(budget * seeds);
                     let layers = network.layers();
                     let evaluator =
                         HardwareEvaluator::new(&env2.setup.space, &env2.setup.scheduler, &layers);
                     let driver = DseDriver::new(&evaluator, &dataset).with_model(&trained.0);
                     let bo = BoEngine::default();
-                    let mut traces: Vec<Vec<Trace>> = vec![Vec::new(); 3];
-                    for seed in 0..seeds {
-                        let rng = |m: u64| {
-                            env2.args
-                                .rng(10_000 + (w as u64) * 100 + (seed as u64) * 10 + m)
-                        };
-                        let runs = [
-                            driver.run(&RandomEngine, SpaceMode::Direct, budget, &mut rng(0)),
-                            driver.run(&bo, SpaceMode::Direct, budget, &mut rng(1)),
-                            driver.run(&bo, SpaceMode::Latent, budget, &mut rng(2)),
-                        ];
-                        for (m, trace) in runs.into_iter().enumerate() {
-                            traces[m].push(trace);
-                        }
-                    }
-                    Ok(util::trace_groups_value(&traces))
+                    let traces: Vec<Trace> = (0..seeds)
+                        .map(|seed| {
+                            let mut rng = env2.args.rng(stream(seed, 2));
+                            driver.run(&bo, SpaceMode::Latent, budget, &mut rng)
+                        })
+                        .collect();
+                    Ok(util::trace_groups_value(&[traces]))
                 }),
         );
 
         nodes.push(
             NodeSpec::new(format!("csv_{short}"), StageKind::Csv)
                 .dep(&search_id)
+                .dep(&vae_id)
                 .emit(format!("fig11_{short}.csv"))
                 .runs(move |deps| {
-                    let traces = util::value_trace_groups(&deps[0])?;
+                    let traces = method_traces(&deps[0], &deps[1])?;
                     let agg = aggregated(&traces, budget);
                     let rows: Vec<Vec<f64>> = (0..budget)
                         .map(|i| {
@@ -130,9 +167,10 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
         nodes.push(
             NodeSpec::new(format!("render_{short}"), StageKind::Render)
                 .dep(&search_id)
+                .dep(&vae_id)
                 .emit(format!("fig11_{short}.svg"))
                 .runs(move |deps| {
-                    let traces = util::value_trace_groups(&deps[0])?;
+                    let traces = method_traces(&deps[0], &deps[1])?;
                     let agg = aggregated(&traces, budget);
                     let mut chart = LineChart::new(
                         format!("{network}: best EDP vs samples (Fig. 11)"),
@@ -161,13 +199,14 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
         nodes.push(
             NodeSpec::new(format!("report_{short}"), StageKind::Report)
                 .dep(&search_id)
+                .dep(&vae_id)
                 .dep("dataset")
                 .dep("train")
                 .print()
                 .runs(move |deps| {
-                    let traces = util::value_trace_groups(&deps[0])?;
-                    let dataset = deps[1].as_mem::<Dataset>().ok_or("dataset unavailable")?;
-                    let trained = deps[2]
+                    let traces = method_traces(&deps[0], &deps[1])?;
+                    let dataset = deps[2].as_mem::<Dataset>().ok_or("dataset unavailable")?;
+                    let trained = deps[3]
                         .as_mem::<TrainArtifact>()
                         .ok_or("model unavailable")?;
                     let layers = network.layers();
@@ -221,7 +260,10 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
 
     let search_ids: Vec<String> = Network::ALL
         .into_iter()
-        .map(|n| format!("search_{}", short_name(n)))
+        .flat_map(|n| {
+            let short = short_name(n);
+            [format!("search_{short}"), format!("search_{short}_vae")]
+        })
         .collect();
     nodes.push(
         NodeSpec::new("table5", StageKind::Report)
@@ -237,7 +279,7 @@ pub(super) fn build(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String> {
                     "workload", "rnd SP", "rnd SE", "bo SP", "bo SE", "vae SP", "vae SE"
                 ));
                 for (w, network) in Network::ALL.into_iter().enumerate() {
-                    let traces = util::value_trace_groups(&deps[w])?;
+                    let traces = method_traces(&deps[2 * w], &deps[2 * w + 1])?;
                     let cmp = comparison(traces, budget);
                     let name = network.name();
                     let (r, b, v) = (&cmp.methods[0], &cmp.methods[1], &cmp.methods[2]);

@@ -44,7 +44,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use vaesa_accel::{ArchDescription, LayerShape};
-use vaesa_timeloop::{CostModel, Evaluation, Mapping};
+use vaesa_timeloop::{CostModel, Evaluation, Mapping, PreparedModel};
 
 /// A mapping chosen by the scheduler together with its evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -100,6 +100,12 @@ impl fmt::Display for ScheduleError {
 }
 
 impl std::error::Error for ScheduleError {}
+
+fn no_valid_mapping(layer: &LayerShape) -> ScheduleError {
+    ScheduleError::NoValidMapping {
+        layer: layer.name().to_string(),
+    }
+}
 
 /// The one-shot scheduler.
 ///
@@ -167,7 +173,13 @@ impl Scheduler {
         arch: &ArchDescription,
         layer: &LayerShape,
     ) -> Result<Scheduled, ScheduleError> {
-        self.schedule_from(arch, layer, Mapping::unit())
+        Self::descend(
+            &self.model.prepare(arch, layer),
+            arch,
+            layer,
+            Mapping::unit(),
+        )
+        .ok_or_else(|| no_valid_mapping(layer))
     }
 
     /// Like [`Scheduler::schedule`], but additionally searches over the
@@ -184,13 +196,14 @@ impl Scheduler {
         arch: &ArchDescription,
         layer: &LayerShape,
     ) -> Result<Scheduled, ScheduleError> {
+        let model = self.model.prepare(arch, layer);
         let mut best: Option<Scheduled> = None;
         for dataflow in vaesa_timeloop::Dataflow::ALL {
             let start = Mapping {
                 dataflow,
                 ..Mapping::unit()
             };
-            if let Ok(s) = self.schedule_from(arch, layer, start) {
+            if let Some(s) = Self::descend(&model, arch, layer, start) {
                 if best
                     .as_ref()
                     .is_none_or(|b| s.evaluation.edp() < b.evaluation.edp())
@@ -199,42 +212,36 @@ impl Scheduler {
                 }
             }
         }
-        best.ok_or_else(|| ScheduleError::NoValidMapping {
-            layer: layer.name().to_string(),
-        })
+        best.ok_or_else(|| no_valid_mapping(layer))
     }
 
-    fn schedule_from(
-        &self,
+    /// The greedy descent from `start`, or `None` when `start` itself does
+    /// not evaluate. Candidates are ranked by EDP alone; only the winning
+    /// mapping's full evaluation is kept.
+    fn descend(
+        model: &PreparedModel<'_>,
         arch: &ArchDescription,
         layer: &LayerShape,
         start: Mapping,
-    ) -> Result<Scheduled, ScheduleError> {
+    ) -> Option<Scheduled> {
+        let edp = |m: &Mapping| model.evaluate(m).ok().map(|e| e.edp());
         let mut current = start;
-        let mut best = match self.model.evaluate(arch, layer, &current) {
-            Ok(e) => e,
-            Err(_) => {
-                return Err(ScheduleError::NoValidMapping {
-                    layer: layer.name().to_string(),
-                })
-            }
-        };
+        let mut best = edp(&current)?;
 
         loop {
-            let mut best_candidate: Option<(Mapping, Evaluation)> = None;
+            let mut best_candidate: Option<(Mapping, f64)> = None;
             for factor in FACTORS {
                 let Some(candidate) = Self::grow(&current, factor, arch, layer) else {
                     continue;
                 };
-                if let Ok(eval) = self.model.evaluate(arch, layer, &candidate) {
-                    let bar = best_candidate.as_ref().map_or(best.edp(), |(_, e)| e.edp());
-                    if eval.edp() < bar {
-                        best_candidate = Some((candidate, eval));
+                if let Some(e) = edp(&candidate) {
+                    if e < best_candidate.map_or(best, |(_, bar)| bar) {
+                        best_candidate = Some((candidate, e));
                     }
                 }
             }
             match best_candidate {
-                Some((m, e)) if e.edp() < best.edp() => {
+                Some((m, e)) if e < best => {
                     current = m;
                     best = e;
                 }
@@ -242,9 +249,12 @@ impl Scheduler {
             }
         }
 
-        Ok(Scheduled {
+        let evaluation = model
+            .evaluate(&current)
+            .expect("the descent keeps only mappings that evaluated");
+        Some(Scheduled {
             mapping: current,
-            evaluation: best,
+            evaluation,
         })
     }
 

@@ -10,7 +10,7 @@
 //! Used by the `ablation_scheduler` experiment to quantify how much mapping
 //! quality the one-shot greedy scheduler actually delivers per evaluation.
 
-use crate::{ScheduleError, Scheduled};
+use crate::{no_valid_mapping, ScheduleError, Scheduled};
 use rand::Rng;
 use rand::RngCore;
 use vaesa_accel::{ArchDescription, LayerShape};
@@ -91,9 +91,10 @@ impl IterativeMapper {
         layer: &LayerShape,
         rng: &mut dyn RngCore,
     ) -> Result<Scheduled, ScheduleError> {
+        let model = self.model.prepare(arch, layer);
         let mut best: Option<Scheduled> = None;
         let consider = |mapping: Mapping, best: &mut Option<Scheduled>| {
-            if let Ok(evaluation) = self.model.evaluate(arch, layer, &mapping) {
+            if let Ok(evaluation) = model.evaluate(&mapping) {
                 if best
                     .as_ref()
                     .is_none_or(|b| evaluation.edp() < b.evaluation.edp())
@@ -125,9 +126,7 @@ impl IterativeMapper {
             consider(candidate, &mut best);
         }
 
-        best.ok_or_else(|| ScheduleError::NoValidMapping {
-            layer: layer.name().to_string(),
-        })
+        best.ok_or_else(|| no_valid_mapping(layer))
     }
 }
 

@@ -11,6 +11,8 @@
 //! - [`CostModel`] / [`Evaluation`]: tile-reuse data-movement analysis with
 //!   capacity checks, 40 nm-inspired per-access energies that grow with
 //!   buffer capacity, and compute/bandwidth-bound latency.
+//! - [`PreparedModel`]: a cost model bound to one `(arch, layer)` pair, for
+//!   the mappers that score many mappings of it.
 //! - [`EnergyModel`]: the technology constants.
 //!
 //! The substitution from the real Timeloop is documented in the repository's
@@ -26,5 +28,5 @@ mod noc;
 
 pub use energy::EnergyModel;
 pub use mapping::{Dataflow, Mapping, MappingError};
-pub use model::{AccessCounts, CostModel, EnergyBreakdown, EvalError, Evaluation};
+pub use model::{AccessCounts, CostModel, EnergyBreakdown, EvalError, Evaluation, PreparedModel};
 pub use noc::NocModel;

@@ -147,6 +147,16 @@ impl Mapping {
         self.k0 * self.spatial_k * self.k1
     }
 
+    /// The largest derived tile [`Mapping::validate`] accepts along each
+    /// of `layer`'s P, Q, C and K.
+    pub(crate) fn tile_limits(layer: &LayerShape) -> [u64; 4] {
+        [layer.p, layer.q, layer.c, layer.k].map(Self::tile_limit)
+    }
+
+    fn tile_limit(dim: u64) -> u64 {
+        dim.next_power_of_two().max(dim) * 2
+    }
+
     /// Checks structural validity against an architecture and layer.
     ///
     /// # Errors
@@ -155,22 +165,43 @@ impl Mapping {
     /// spatial factors must fit the hardware, every tile factor must be
     /// positive, and no tile may exceed its layer dimension.
     pub fn validate(&self, arch: &ArchDescription, layer: &LayerShape) -> Result<(), MappingError> {
-        let fields = [
-            ("spatial_k", self.spatial_k),
-            ("spatial_c", self.spatial_c),
-            ("p0", self.p0),
-            ("q0", self.q0),
-            ("c0", self.c0),
-            ("k0", self.k0),
-            ("p1", self.p1),
-            ("q1", self.q1),
-            ("c1", self.c1),
-            ("k1", self.k1),
+        self.check_limits(arch, layer, &Self::tile_limits(layer))
+    }
+
+    /// [`Mapping::validate`] against `layer`'s precomputed
+    /// [`Mapping::tile_limits`].
+    pub(crate) fn check_limits(
+        &self,
+        arch: &ArchDescription,
+        layer: &LayerShape,
+        limits: &[u64; 4],
+    ) -> Result<(), MappingError> {
+        const FACTORS: [&str; 10] = [
+            "spatial_k",
+            "spatial_c",
+            "p0",
+            "q0",
+            "c0",
+            "k0",
+            "p1",
+            "q1",
+            "c1",
+            "k1",
         ];
-        for (name, v) in fields {
-            if v == 0 {
-                return Err(MappingError::ZeroFactor { field: name });
-            }
+        let factors = [
+            self.spatial_k,
+            self.spatial_c,
+            self.p0,
+            self.q0,
+            self.c0,
+            self.k0,
+            self.p1,
+            self.q1,
+            self.c1,
+            self.k1,
+        ];
+        if let Some(i) = factors.iter().position(|&v| v == 0) {
+            return Err(MappingError::ZeroFactor { field: FACTORS[i] });
         }
         if self.spatial_k > arch.pe_count {
             return Err(MappingError::SpatialOverflow {
@@ -186,24 +217,19 @@ impl Mapping {
                 available: arch.macs_per_pe,
             });
         }
-        let dims = [
-            ("p", self.p_gb(), layer.p),
-            ("q", self.q_gb(), layer.q),
-            ("c", self.c_gb(), layer.c),
-            ("k", self.k_gb(), layer.k),
-        ];
-        for (name, tile, dim) in dims {
-            if tile > dim.next_power_of_two().max(dim) * 2 {
-                // Tiles may overshoot a dimension slightly (ceil semantics),
-                // but grossly oversized tiles indicate a mis-built mapping.
-                return Err(MappingError::TileExceedsDim {
-                    field: name,
-                    tile,
-                    dim,
-                });
-            }
+        const DIMS: [&str; 4] = ["p", "q", "c", "k"];
+        let tiles = [self.p_gb(), self.q_gb(), self.c_gb(), self.k_gb()];
+        let dims = [layer.p, layer.q, layer.c, layer.k];
+        // Tiles may overshoot a dimension slightly (ceil semantics), but
+        // grossly oversized tiles indicate a mis-built mapping.
+        match (0..4).find(|&i| tiles[i] > limits[i]) {
+            Some(i) => Err(MappingError::TileExceedsDim {
+                field: DIMS[i],
+                tile: tiles[i],
+                dim: dims[i],
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
