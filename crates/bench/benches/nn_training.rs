@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 use vaesa::{VaesaConfig, VaesaModel};
-use vaesa_nn::{randn, set_precision, Graph, Precision, Tensor, TensorF32};
+use vaesa_nn::{randn, Graph, Tensor};
 
 fn model() -> VaesaModel {
     let mut rng = ChaCha8Rng::seed_from_u64(0);
@@ -29,23 +29,6 @@ fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// Reference triple-loop matmul on f32 storage, so the `matmul_f32` entry
-/// measures the SIMD kernel against a naive loop of the *same* precision.
-fn naive_matmul_f32(a: &TensorF32, b: &TensorF32) -> TensorF32 {
-    let (m, inner) = a.shape();
-    let n = b.cols();
-    let mut out = TensorF32::zeros(m, n);
-    for i in 0..m {
-        for k in 0..inner {
-            let av = a.as_slice()[i * inner + k];
-            for j in 0..n {
-                out.as_mut_slice()[i * n + j] += av * b.as_slice()[k * n + j];
-            }
-        }
-    }
-    out
-}
-
 fn bench_matmul(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     for n in [64usize, 128, 256] {
@@ -56,14 +39,6 @@ fn bench_matmul(c: &mut Criterion) {
         });
         c.bench_function(&format!("nn/matmul_naive_{n}"), |bch| {
             bch.iter(|| black_box(naive_matmul(black_box(&a), black_box(&b))))
-        });
-        let a32 = TensorF32::from_f64(&a);
-        let b32 = TensorF32::from_f64(&b);
-        c.bench_function(&format!("nn/matmul_f32_{n}"), |bch| {
-            bch.iter(|| black_box(black_box(&a32).matmul(black_box(&b32))))
-        });
-        c.bench_function(&format!("nn/matmul_naive_f32_{n}"), |bch| {
-            bch.iter(|| black_box(naive_matmul_f32(black_box(&a32), black_box(&b32))))
         });
     }
     // The backward pass's fused transpose products vs. materializing the
@@ -110,26 +85,6 @@ fn bench_train_step(c: &mut Criterion) {
                 black_box(g.value(step.total).get(0, 0))
             })
         });
-        // Same step with the process-global precision flipped to f32, so
-        // the matmul/activation hot loops take the SIMD backend; restored
-        // to the bit-exact f64 default immediately after.
-        set_precision(Precision::F32);
-        c.bench_function(&format!("nn/train_step_fwd_bwd_f32_b{batch}"), |b| {
-            b.iter(|| {
-                let mut g = Graph::new();
-                let step = m.train_step(
-                    &mut g,
-                    hw.clone(),
-                    layer.clone(),
-                    eps.clone(),
-                    lat.clone(),
-                    en.clone(),
-                );
-                g.backward(step.total);
-                black_box(g.value(step.total).get(0, 0))
-            })
-        });
-        set_precision(Precision::F64);
     }
 }
 

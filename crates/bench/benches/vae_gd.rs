@@ -76,25 +76,6 @@ fn bench_multi_start_gd(c: &mut Criterion) {
                 black_box(trace.best_value())
             })
         });
-        // The identical engine-driven descent with the process-global
-        // precision flipped to f32, so the predictor-head matmuls inside
-        // `predicted_edp_grad_batch` take the SIMD backend; restored to
-        // the bit-exact f64 default immediately after.
-        vaesa_nn::set_precision(vaesa_nn::Precision::F32);
-        c.bench_function(&format!("vae_gd/gd_step_engine_f32_b{batch}"), |b| {
-            b.iter(|| {
-                let mut scratch = EdpGradBatch::default();
-                let mut objective = ProxyOnly {
-                    proxy: FnBatchDifferentiable::new(DZ, |xs: &[f64], n: usize| {
-                        model.predicted_edp_grad_batch(xs, n, &layer, 1.0, 1.0, &mut scratch)
-                    }),
-                };
-                let mut rng = ChaCha8Rng::seed_from_u64(9 + batch as u64);
-                let trace = engine.run(&space, &mut objective, batch, &mut rng);
-                black_box(trace.best_value())
-            })
-        });
-        vaesa_nn::set_precision(vaesa_nn::Precision::F64);
     }
 }
 

@@ -117,28 +117,19 @@ impl Args {
 
 /// Seeds the global observability registry with one run's context: the
 /// pipeline name, a deterministic run id, the RNG seed, scale, budget
-/// override, worker-pool size, active numeric precision, detected CPU SIMD
-/// features, and (when available) the git revision.
+/// override, worker-pool size, detected CPU SIMD features, and (when
+/// available) the git revision.
 ///
 /// [`pipelines::run`] calls this first, so the `run` record of the
-/// manifest it writes on exit identifies the run completely. An f32-mode
-/// run (`VAESA_PRECISION=f32`) gets a `-f32` run-id suffix so its telemetry
-/// history never mixes with the bit-exact f64 baseline's.
+/// manifest it writes on exit identifies the run completely.
 pub fn init_run_meta(bin: &str, args: &Args) {
-    let precision = vaesa_nn::Precision::active();
     vaesa_obs::set_meta("bin", bin);
     vaesa_obs::set_meta(
         "run_id",
-        format!(
-            "{bin}-seed{}-scale{}{}",
-            args.seed,
-            args.scale,
-            if precision.is_f32() { "-f32" } else { "" }
-        ),
+        format!("{bin}-seed{}-scale{}", args.seed, args.scale),
     );
     vaesa_obs::set_meta("seed", args.seed);
     vaesa_obs::set_meta("scale", args.scale);
-    vaesa_obs::set_meta("precision", precision.label());
     vaesa_obs::set_meta("cpu_features", vaesa_nn::cpu_features());
     if let Some(budget) = args.budget {
         vaesa_obs::set_meta("budget", budget);

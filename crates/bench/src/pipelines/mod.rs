@@ -8,7 +8,7 @@
 //!
 //! Every node keeps the RNG stream of the experiment it was ported from,
 //! so a pipeline writes byte-identical CSV/SVG artifacts to its pre-flow
-//! predecessor at the same seed/scale/precision.
+//! predecessor at the same seed and scale.
 //! `fig12_fast_artifacts_match_pinned_digests` in `tests.rs` pins the
 //! seed-0 Fig. 12 artifacts; the benchmark in `perfbench/` pins Fig. 12
 //! and Fig. 11 at their `--fast` budgets.
@@ -241,7 +241,6 @@ pub fn run(name: &str, args: Args) -> Result<(), String> {
     let graph = (spec.build)(&env)?;
     let config = RunConfig {
         seed: env.args.seed,
-        precision: vaesa_nn::Precision::active().label().to_string(),
         cache_root: vaesa_flow::default_cache_root(),
         out_dir: env.args.out_dir.clone(),
     };

@@ -20,7 +20,6 @@ fn fast_args(seed: u64) -> Args {
 fn config(seed: u64) -> RunConfig {
     RunConfig {
         seed,
-        precision: "f64".to_string(),
         cache_root: PathBuf::from("results/cache/flow"),
         out_dir: PathBuf::from("results"),
     }
@@ -82,14 +81,11 @@ fn pipeline_keys_are_stable_across_rebuilds_and_vary_with_seed() {
     }
 }
 
-/// `fig12_gd --fast --budget 2` at seed 0 (f64) must keep writing these
+/// `fig12_gd --fast --budget 2` at seed 0 must keep writing these
 /// artifacts: the digests are those of a serial run in declaration order,
 /// so overlapping independent nodes may change no output byte.
 #[test]
 fn fig12_fast_artifacts_match_pinned_digests() {
-    if vaesa_nn::Precision::active().is_f32() {
-        return; // the digests pin the f64 reference
-    }
     let base = std::env::temp_dir().join(format!("vaesa-bench-fig12-pin-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let args = Args {
@@ -101,7 +97,6 @@ fn fig12_fast_artifacts_match_pinned_digests() {
     let graph = (find("fig12_gd").unwrap().build)(&PipelineEnv::new(args)).unwrap();
     let config = RunConfig {
         seed: 0,
-        precision: "f64".to_string(),
         cache_root: base.join("cache"),
         out_dir: base.join("out"),
     };

@@ -1,15 +1,6 @@
-use crate::kernel::pack_points_f32;
 use crate::{ArdKernel, Kernel, KernelKind};
-use std::sync::{Arc, OnceLock};
 use vaesa_linalg::triangular::{packed_row_offset, solve_lower_multi};
-use vaesa_linalg::{Cholesky, LinalgError, Matrix, Precision};
-
-/// Counts f32 kernel-matrix / cross-matrix fills, cached so the per-fill
-/// increment is one relaxed atomic add after first use.
-fn gp_f32_fills() -> &'static Arc<vaesa_obs::Counter> {
-    static C: OnceLock<Arc<vaesa_obs::Counter>> = OnceLock::new();
-    C.get_or_init(|| vaesa_obs::counter("dse.gp.f32.fills"))
-}
+use vaesa_linalg::{Cholesky, LinalgError, Matrix};
 
 /// Observation count below which GP fitting stays serial: thread fan-out
 /// costs more than the O(n³) work it would hide on small problems, and the
@@ -35,15 +26,6 @@ impl GpKernel {
         match self {
             GpKernel::Iso(k) => k.kind,
             GpKernel::Ard(k) => k.kind,
-        }
-    }
-
-    /// Fills `out[j] = k(x, pts[:, j])` on the SIMD f32 path; `pts_col` is
-    /// the column-major packing from [`pack_points_f32`].
-    fn eval_row_f32(&self, x: &[f32], pts_col: &[f32], out: &mut [f32]) {
-        match self {
-            GpKernel::Iso(k) => k.eval_row_f32(x, pts_col, out),
-            GpKernel::Ard(k) => k.eval_row_f32(x, pts_col, out),
         }
     }
 }
@@ -75,11 +57,6 @@ impl GpKernel {
 pub struct GpRegressor {
     kernel: GpKernel,
     noise: f64,
-    /// Captured from the global [`Precision`] at fit time: when `true`, the
-    /// kernel matrix and prediction cross-matrices are filled with the SIMD
-    /// f32 row kernels (the Cholesky factor, triangular solves, and the
-    /// O(n²) incremental extension stay in f64).
-    f32_mode: bool,
     xs: Vec<Vec<f64>>,
     ys: Vec<f64>,
     y_mean: f64,
@@ -253,32 +230,8 @@ impl GpRegressor {
             return Err(LinalgError::Empty);
         }
         let n = xs.len();
-        let f32_mode = Precision::active().is_f32();
         let mut k = Matrix::zeros(n, n);
-        if f32_mode {
-            // SIMD f32 row fill. Symmetry stays bit-exact: (a-b)² == (b-a)²
-            // in f32 too and the per-dimension accumulation order is the
-            // same for rows i and j, so both triangles agree and the f64
-            // Cholesky below sees an exactly symmetric matrix.
-            gp_f32_fills().incr();
-            let pts = pack_points_f32(xs);
-            let fill_row = |i: usize, row: &mut [f64]| {
-                let x32: Vec<f32> = xs[i].iter().map(|&v| v as f32).collect();
-                let mut row32 = vec![0.0f32; n];
-                kernel.eval_row_f32(&x32, &pts, &mut row32);
-                for (slot, &v) in row.iter_mut().zip(&row32) {
-                    *slot = f64::from(v);
-                }
-                row[i] += noise;
-            };
-            if n >= GP_PAR_MIN_N && vaesa_par::num_threads() > 1 {
-                vaesa_par::par_chunks_mut(k.as_mut_slice(), n, |i, _, row| fill_row(i, row));
-            } else {
-                for i in 0..n {
-                    fill_row(i, &mut k.as_mut_slice()[i * n..(i + 1) * n]);
-                }
-            }
-        } else if n >= GP_PAR_MIN_N && vaesa_par::num_threads() > 1 {
+        if n >= GP_PAR_MIN_N && vaesa_par::num_threads() > 1 {
             // One row per chunk; `eval` is exactly symmetric (the squared
             // differences negate bit-exactly), so filling both triangles
             // independently matches the mirrored serial fill.
@@ -308,7 +261,6 @@ impl GpRegressor {
         let mut gp = GpRegressor {
             kernel,
             noise,
-            f32_mode,
             xs: xs.to_vec(),
             ys: ys.to_vec(),
             y_mean: 0.0,
@@ -378,14 +330,7 @@ impl GpRegressor {
     }
 
     /// Posterior mean and variance at `x`, in original target units.
-    ///
-    /// A GP fitted in f32 mode delegates to [`GpRegressor::predict_batch`]
-    /// so single-point and batched predictions use the same f32 row fill
-    /// (and therefore stay bit-identical to each other).
     pub fn predict(&self, x: &[f64]) -> (f64, f64) {
-        if self.f32_mode {
-            return self.predict_batch(std::slice::from_ref(&x.to_vec()))[0];
-        }
         let k_vec: Vec<f64> = self.xs.iter().map(|xi| self.kernel.eval(xi, x)).collect();
         let mean_std: f64 = k_vec.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
         let v = self.solve_lower(&k_vec);
@@ -411,25 +356,7 @@ impl GpRegressor {
             return Vec::new();
         }
         let mut kstar = Matrix::zeros(n, m);
-        if self.f32_mode {
-            gp_f32_fills().incr();
-            let cand = pack_points_f32(xs);
-            let fill_row = |i: usize, row: &mut [f64]| {
-                let x32: Vec<f32> = self.xs[i].iter().map(|&v| v as f32).collect();
-                let mut row32 = vec![0.0f32; m];
-                self.kernel.eval_row_f32(&x32, &cand, &mut row32);
-                for (slot, &v) in row.iter_mut().zip(&row32) {
-                    *slot = f64::from(v);
-                }
-            };
-            if n >= GP_PAR_MIN_N && vaesa_par::num_threads() > 1 {
-                vaesa_par::par_chunks_mut(kstar.as_mut_slice(), m, |i, _, row| fill_row(i, row));
-            } else {
-                for i in 0..n {
-                    fill_row(i, &mut kstar.as_mut_slice()[i * m..(i + 1) * m]);
-                }
-            }
-        } else if n >= GP_PAR_MIN_N && vaesa_par::num_threads() > 1 {
+        if n >= GP_PAR_MIN_N && vaesa_par::num_threads() > 1 {
             vaesa_par::par_chunks_mut(kstar.as_mut_slice(), m, |i, _, row| {
                 for (slot, x) in row.iter_mut().zip(xs) {
                     *slot = self.kernel.eval(&self.xs[i], x);

@@ -156,165 +156,6 @@ impl ArdKernel {
     }
 }
 
-// ---------------------------------------------------------------------------
-// SIMD f32 row fill: the kernel-matrix hot loop of the f32 precision mode.
-// ---------------------------------------------------------------------------
-
-/// Packs points into the column-major f32 layout [`kernel_row_f32`] consumes:
-/// element `d * n + j` holds dimension `d` of point `j`. Column-major storage
-/// makes the per-dimension distance accumulation a contiguous SIMD stream
-/// over candidates.
-///
-/// # Panics
-///
-/// Panics if the points are ragged.
-pub fn pack_points_f32(pts: &[Vec<f64>]) -> Vec<f32> {
-    let n = pts.len();
-    let dim = pts.first().map_or(0, Vec::len);
-    let mut packed = vec![0.0f32; dim * n];
-    for (j, p) in pts.iter().enumerate() {
-        assert_eq!(p.len(), dim, "pack_points_f32: ragged point set");
-        for (d, &v) in p.iter().enumerate() {
-            packed[d * n + j] = v as f32;
-        }
-    }
-    packed
-}
-
-/// `out[j] = Σ_d ((x[d] - pts_col[d*n + j]) * inv_ls[d])²` in f32. The FMA
-/// body contracts with `mul_add` (hardware FMA under `#[target_feature]`);
-/// the scalar fallback multiplies and adds separately so it never hits the
-/// libm soft-float `fma`.
-#[inline(always)]
-fn dist2_row_body<const FMA: bool>(x: &[f32], inv_ls: &[f32], pts_col: &[f32], out: &mut [f32]) {
-    let n = out.len();
-    out.fill(0.0);
-    for (d, (&xd, &il)) in x.iter().zip(inv_ls).enumerate() {
-        let col = &pts_col[d * n..][..n];
-        for (o, &c) in out.iter_mut().zip(col) {
-            let diff = (xd - c) * il;
-            if FMA {
-                *o = diff.mul_add(diff, *o);
-            } else {
-                *o += diff * diff;
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn dist2_row_avx512(x: &[f32], inv_ls: &[f32], pts_col: &[f32], out: &mut [f32]) {
-    dist2_row_body::<true>(x, inv_ls, pts_col, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dist2_row_avx2(x: &[f32], inv_ls: &[f32], pts_col: &[f32], out: &mut [f32]) {
-    dist2_row_body::<true>(x, inv_ls, pts_col, out)
-}
-
-/// `unsafe` only to share the dispatch-table signature; always safe to call.
-unsafe fn dist2_row_scalar(x: &[f32], inv_ls: &[f32], pts_col: &[f32], out: &mut [f32]) {
-    dist2_row_body::<false>(x, inv_ls, pts_col, out)
-}
-
-fn dist2_row(x: &[f32], inv_ls: &[f32], pts_col: &[f32], out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: each call is guarded by runtime feature detection.
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("fma")
-        {
-            return unsafe { dist2_row_avx512(x, inv_ls, pts_col, out) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return unsafe { dist2_row_avx2(x, inv_ls, pts_col, out) };
-        }
-    }
-    // SAFETY: the scalar fallback has no feature requirements.
-    unsafe { dist2_row_scalar(x, inv_ls, pts_col, out) }
-}
-
-/// Fills `out[j] = k(x, p_j)` in f32 over points packed by
-/// [`pack_points_f32`]: SIMD distance accumulation followed by the f32
-/// transcendental tail. `inv_ls[d]` is `1 / lengthscale_d` rounded to f32;
-/// the distance is computed as a multiply by the reciprocal (not a divide),
-/// which differs from the f64 path by O(ulp) and stays inside the
-/// documented row-fill tolerance.
-///
-/// # Panics
-///
-/// Panics if `x` and `inv_ls` lengths differ or `pts_col` is not
-/// `x.len() * out.len()` long.
-pub fn kernel_row_f32(
-    kind: KernelKind,
-    variance: f64,
-    inv_ls: &[f32],
-    x: &[f32],
-    pts_col: &[f32],
-    out: &mut [f32],
-) {
-    assert_eq!(x.len(), inv_ls.len(), "kernel input dimension mismatch");
-    assert_eq!(
-        pts_col.len(),
-        x.len() * out.len(),
-        "packed point buffer does not match shape"
-    );
-    dist2_row(x, inv_ls, pts_col, out);
-    let variance = variance as f32;
-    match kind {
-        KernelKind::Rbf => {
-            for o in out.iter_mut() {
-                *o = variance * (-0.5 * *o).exp();
-            }
-        }
-        KernelKind::Matern52 => {
-            for o in out.iter_mut() {
-                let d2 = *o;
-                let sqrt5_r = (5.0 * d2).sqrt();
-                *o = variance * (1.0 + sqrt5_r + 5.0 * d2 / 3.0) * (-sqrt5_r).exp();
-            }
-        }
-    }
-}
-
-impl Kernel {
-    /// [`kernel_row_f32`] with this kernel's parameters: fills
-    /// `out[j] = k(x, p_j)` in f32 over points packed column-major by
-    /// [`pack_points_f32`]. Hot paths precompute the reciprocal
-    /// lengthscales and call [`kernel_row_f32`] directly.
-    pub fn eval_row_f32(&self, x: &[f32], pts_col: &[f32], out: &mut [f32]) {
-        let inv_ls = vec![(1.0 / self.lengthscale) as f32; x.len()];
-        kernel_row_f32(self.kind, self.variance, &inv_ls, x, pts_col, out);
-    }
-}
-
-impl ArdKernel {
-    /// Reciprocal lengthscales rounded to f32, the precomputed form
-    /// [`kernel_row_f32`] consumes.
-    pub fn inv_lengthscales_f32(&self) -> Vec<f32> {
-        self.lengthscales
-            .iter()
-            .map(|&l| (1.0 / l) as f32)
-            .collect()
-    }
-
-    /// [`kernel_row_f32`] with this kernel's parameters (see
-    /// [`Kernel::eval_row_f32`]).
-    pub fn eval_row_f32(&self, x: &[f32], pts_col: &[f32], out: &mut [f32]) {
-        kernel_row_f32(
-            self.kind,
-            self.variance,
-            &self.inv_lengthscales_f32(),
-            x,
-            pts_col,
-            out,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,53 +228,5 @@ mod tests {
     #[should_panic(expected = "at least one dimension")]
     fn empty_ard_rejected() {
         let _ = ArdKernel::new(KernelKind::Rbf, vec![], 1.0);
-    }
-
-    #[test]
-    fn f32_row_fill_tracks_scalar_eval() {
-        let pts: Vec<Vec<f64>> = (0..13)
-            .map(|j| {
-                (0..3)
-                    .map(|d| ((j * 3 + d) as f64 * 0.37).sin() * 2.0)
-                    .collect()
-            })
-            .collect();
-        let packed = pack_points_f32(&pts);
-        let x = [0.25, -1.5, 0.8];
-        let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-        for kind in [KernelKind::Rbf, KernelKind::Matern52] {
-            let iso = Kernel::new(kind, 0.7, 2.0);
-            let ard = ArdKernel::new(kind, vec![0.4, 0.9, 2.0], 1.5);
-            let mut row = vec![0.0f32; pts.len()];
-            iso.eval_row_f32(&x32, &packed, &mut row);
-            for (j, p) in pts.iter().enumerate() {
-                let exact = iso.eval(&x, p);
-                assert!(
-                    (f64::from(row[j]) - exact).abs() <= 1e-5 * exact.abs().max(1.0),
-                    "iso {kind:?} row fill diverged at {j}: {} vs {exact}",
-                    row[j]
-                );
-            }
-            ard.eval_row_f32(&x32, &packed, &mut row);
-            for (j, p) in pts.iter().enumerate() {
-                let exact = ard.eval(&x, p);
-                assert!(
-                    (f64::from(row[j]) - exact).abs() <= 1e-5 * exact.abs().max(1.0),
-                    "ard {kind:?} row fill diverged at {j}: {} vs {exact}",
-                    row[j]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn f32_row_fill_empty_and_single() {
-        let k = Kernel::new(KernelKind::Rbf, 1.0, 1.0);
-        let mut empty: Vec<f32> = Vec::new();
-        k.eval_row_f32(&[0.5], &[], &mut empty); // n = 0: nothing to fill
-        let packed = pack_points_f32(&[vec![2.0]]);
-        let mut one = vec![0.0f32; 1];
-        k.eval_row_f32(&[2.0], &packed, &mut one);
-        assert!((f64::from(one[0]) - 1.0).abs() < 1e-6, "k(x,x) = variance");
     }
 }

@@ -65,7 +65,7 @@ pub use engine::{
 pub use evolutionary::{EvolutionConfig, EvolutionarySearch};
 pub use gp::GpRegressor;
 pub use gradient::{GdConfig, GdPath, GdStep, GradientDescent};
-pub use kernel::{kernel_row_f32, pack_points_f32, ArdKernel, Kernel, KernelKind};
+pub use kernel::{ArdKernel, Kernel, KernelKind};
 pub use objective::{
     BatchDifferentiableObjective, DifferentiableObjective, FnBatchDifferentiable, FnDifferentiable,
     FnObjective, Objective,

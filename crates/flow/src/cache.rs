@@ -167,7 +167,7 @@ mod tests {
     }
 
     fn key(n: u64) -> CacheKey {
-        node_key("test", &BTreeMap::new(), None, n, "f64", &[])
+        node_key("test", &BTreeMap::new(), None, n, &[])
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! serialization of everything that can change its output: a schema
 //! version, the stage kind label, the node's parameters (in sorted key
 //! order), its emit path (sibling render nodes often differ *only* in
-//! which artifact they draw), the global run seed, the compute-precision
-//! label, and the cache keys of its dependencies in dependency order.
+//! which artifact they draw), the global run seed, and the cache keys of
+//! its dependencies in dependency order.
 //! Hashing dependency *keys*
 //! rather than dependency *outputs* makes the key computable statically —
 //! a warm cache answers "is anything upstream stale?" without running a
@@ -108,7 +108,6 @@ pub fn node_key(
     params: &BTreeMap<String, String>,
     emit: Option<&str>,
     seed: u64,
-    precision: &str,
     dep_keys: &[CacheKey],
 ) -> CacheKey {
     let mut h = KeyHasher::new();
@@ -121,7 +120,6 @@ pub fn node_key(
     h.write_u64(emit.is_some() as u64);
     h.write_str(emit.unwrap_or(""));
     h.write_u64(seed);
-    h.write_str(precision);
     h.write_u64(dep_keys.len() as u64);
     for &dep in dep_keys {
         h.write_key(dep);
@@ -143,8 +141,8 @@ mod tests {
     #[test]
     fn identical_inputs_give_identical_keys() {
         let p = params(&[("budget", "8"), ("network", "resnet50")]);
-        let a = node_key("engine:bo", &p, None, 1, "f64", &[]);
-        let b = node_key("engine:bo", &p, None, 1, "f64", &[]);
+        let a = node_key("engine:bo", &p, None, 1, &[]);
+        let b = node_key("engine:bo", &p, None, 1, &[]);
         assert_eq!(a, b);
         assert_eq!(a.hex().len(), 32);
     }
@@ -152,65 +150,48 @@ mod tests {
     #[test]
     fn every_ingredient_perturbs_the_key() {
         let p = params(&[("budget", "8")]);
-        let base = node_key("engine:bo", &p, None, 1, "f64", &[]);
-        assert_ne!(base, node_key("engine:gd", &p, None, 1, "f64", &[]));
+        let base = node_key("engine:bo", &p, None, 1, &[]);
+        assert_ne!(base, node_key("engine:gd", &p, None, 1, &[]));
         assert_ne!(
             base,
-            node_key(
-                "engine:bo",
-                &params(&[("budget", "9")]),
-                None,
-                1,
-                "f64",
-                &[]
-            )
+            node_key("engine:bo", &params(&[("budget", "9")]), None, 1, &[])
         );
-        assert_ne!(
-            base,
-            node_key("engine:bo", &params(&[]), None, 1, "f64", &[])
-        );
-        assert_ne!(base, node_key("engine:bo", &p, None, 2, "f64", &[]));
-        assert_ne!(base, node_key("engine:bo", &p, None, 1, "f32", &[]));
+        assert_ne!(base, node_key("engine:bo", &params(&[]), None, 1, &[]));
+        assert_ne!(base, node_key("engine:bo", &p, None, 2, &[]));
         // Sibling render nodes may differ only in their emit path.
+        assert_ne!(base, node_key("engine:bo", &p, Some("a.svg"), 1, &[]));
         assert_ne!(
-            base,
-            node_key("engine:bo", &p, Some("a.svg"), 1, "f64", &[])
+            node_key("engine:bo", &p, Some("a.svg"), 1, &[]),
+            node_key("engine:bo", &p, Some("b.svg"), 1, &[])
         );
-        assert_ne!(
-            node_key("engine:bo", &p, Some("a.svg"), 1, "f64", &[]),
-            node_key("engine:bo", &p, Some("b.svg"), 1, "f64", &[])
-        );
-        assert_ne!(base, node_key("engine:bo", &p, Some(""), 1, "f64", &[]));
-        let dep = node_key("dataset", &params(&[]), None, 1, "f64", &[]);
-        assert_ne!(base, node_key("engine:bo", &p, None, 1, "f64", &[dep]));
+        assert_ne!(base, node_key("engine:bo", &p, Some(""), 1, &[]));
+        let dep = node_key("dataset", &params(&[]), None, 1, &[]);
+        assert_ne!(base, node_key("engine:bo", &p, None, 1, &[dep]));
     }
 
     #[test]
     fn dep_order_and_upstream_changes_propagate() {
-        let d1 = node_key("dataset", &params(&[("n", "60")]), None, 1, "f64", &[]);
-        let d2 = node_key("train", &params(&[("dz", "4")]), None, 1, "f64", &[d1]);
-        let fwd = node_key("csv", &params(&[]), None, 1, "f64", &[d1, d2]);
-        let rev = node_key("csv", &params(&[]), None, 1, "f64", &[d2, d1]);
+        let d1 = node_key("dataset", &params(&[("n", "60")]), None, 1, &[]);
+        let d2 = node_key("train", &params(&[("dz", "4")]), None, 1, &[d1]);
+        let fwd = node_key("csv", &params(&[]), None, 1, &[d1, d2]);
+        let rev = node_key("csv", &params(&[]), None, 1, &[d2, d1]);
         assert_ne!(fwd, rev);
 
         // A changed upstream param ripples through transitively.
-        let d1b = node_key("dataset", &params(&[("n", "61")]), None, 1, "f64", &[]);
-        let d2b = node_key("train", &params(&[("dz", "4")]), None, 1, "f64", &[d1b]);
+        let d1b = node_key("dataset", &params(&[("n", "61")]), None, 1, &[]);
+        let d2b = node_key("train", &params(&[("dz", "4")]), None, 1, &[d1b]);
         assert_ne!(d2, d2b);
-        assert_ne!(
-            fwd,
-            node_key("csv", &params(&[]), None, 1, "f64", &[d1b, d2b])
-        );
+        assert_ne!(fwd, node_key("csv", &params(&[]), None, 1, &[d1b, d2b]));
     }
 
     #[test]
     fn field_framing_prevents_aliasing() {
         // Adjacent string fields must not concatenate.
-        let a = node_key("csv", &params(&[("ab", "c")]), None, 1, "f64", &[]);
-        let b = node_key("csv", &params(&[("a", "bc")]), None, 1, "f64", &[]);
+        let a = node_key("csv", &params(&[("ab", "c")]), None, 1, &[]);
+        let b = node_key("csv", &params(&[("a", "bc")]), None, 1, &[]);
         assert_ne!(a, b);
-        let c = node_key("en", &params(&[("gine", "x")]), None, 1, "f64", &[]);
-        let d = node_key("engine", &params(&[("", "x")]), None, 1, "f64", &[]);
+        let c = node_key("en", &params(&[("gine", "x")]), None, 1, &[]);
+        let d = node_key("engine", &params(&[("", "x")]), None, 1, &[]);
         assert_ne!(c, d);
     }
 }

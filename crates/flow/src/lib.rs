@@ -8,7 +8,7 @@
 //! stages whose edges carry [`Value`] artifacts. The [`FlowRunner`]:
 //!
 //! - **content-hashes** every node over `(stage kind, params, emit path,
-//!   seed, precision, upstream keys)` ([`node_key`]) and persists completed
+//!   seed, upstream keys)` ([`node_key`]) and persists completed
 //!   outputs under `results/cache/flow/` ([`FlowCache`]), so re-running a
 //!   pipeline after a plot tweak re-executes the render stage only;
 //! - schedules **demand-driven**: a node runs only when its output is
@@ -54,7 +54,6 @@
 //! let dir = std::env::temp_dir().join("vaesa-flow-doc");
 //! let config = RunConfig {
 //!     seed: 1,
-//!     precision: "f64".to_string(),
 //!     cache_root: dir.join("cache"),
 //!     out_dir: dir.join("out"),
 //! };
@@ -73,7 +72,5 @@ pub use cache::{default_cache_root, CacheEntry, FlowCache, CACHE_ROOT_ENV, DEFAU
 pub use csv::{format_cell, format_csv, format_labeled_csv};
 pub use graph::{CachePolicy, FlowGraph, NodeFn, NodeSpec, StageKind};
 pub use key::{node_key, CacheKey, KeyHasher};
-pub use runner::{
-    precision_label, write_text, FlowReport, FlowRunner, NodeReport, NodeStatus, RunConfig,
-};
+pub use runner::{write_text, FlowReport, FlowRunner, NodeReport, NodeStatus, RunConfig};
 pub use value::Value;

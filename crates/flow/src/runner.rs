@@ -3,8 +3,8 @@
 //! The runner makes three passes over a validated [`FlowGraph`]:
 //!
 //! 1. **Plan** (topological order): compute every node's [`CacheKey`]
-//!    from its kind, params, run seed, precision label, and dependency
-//!    keys — no node has to run for this — then probe the cache.
+//!    from its kind, params, run seed, and dependency keys — no node has
+//!    to run for this — then probe the cache.
 //! 2. **Demand** (reverse topological order): a node's *value* is needed
 //!    if it is a sink (emits a file or prints) or feeds a node that will
 //!    run. A node runs iff its value is needed and the cache did not
@@ -34,21 +34,10 @@ use crate::graph::{CachePolicy, FlowGraph, NodeSpec};
 use crate::key::{node_key, CacheKey};
 use crate::value::Value;
 
-/// Reads the process compute-precision label from `VAESA_PRECISION`
-/// (anything but `f32` means `f64`, matching `vaesa-linalg`).
-pub fn precision_label() -> String {
-    match std::env::var("VAESA_PRECISION") {
-        Ok(v) if v.eq_ignore_ascii_case("f32") => "f32".to_string(),
-        _ => "f64".to_string(),
-    }
-}
-
 /// Per-run settings shared by every node.
 pub struct RunConfig {
     /// Global experiment seed, hashed into every node key.
     pub seed: u64,
-    /// Compute-precision label (`f64`/`f32`), hashed into every node key.
-    pub precision: String,
     /// Artifact cache root.
     pub cache_root: PathBuf,
     /// Directory sink nodes emit artifacts into.
@@ -56,12 +45,11 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// Standard config: given seed and output directory, precision from
-    /// the environment, cache at [`default_cache_root`].
+    /// Standard config: given seed and output directory, cache at
+    /// [`default_cache_root`].
     pub fn new(seed: u64, out_dir: impl Into<PathBuf>) -> Self {
         RunConfig {
             seed,
-            precision: precision_label(),
             cache_root: default_cache_root(),
             out_dir: out_dir.into(),
         }
@@ -212,7 +200,6 @@ impl FlowRunner {
                 &node.params,
                 node.emit.as_deref(),
                 self.config.seed,
-                &self.config.precision,
                 &dep_keys,
             ));
         }
@@ -466,7 +453,6 @@ mod tests {
         let base = temp_dir(tag);
         RunConfig {
             seed: 1,
-            precision: "f64".to_string(),
             cache_root: base.join("cache"),
             out_dir: base.join("out"),
         }
@@ -521,7 +507,6 @@ mod tests {
         let base = std::env::temp_dir().join(format!("vaesa-flow-run-warm-{}", std::process::id()));
         let cfg2 = RunConfig {
             seed: 1,
-            precision: "f64".to_string(),
             cache_root: base.join("cache"),
             out_dir: base.join("out2"),
         };
@@ -561,7 +546,6 @@ mod tests {
         // nodes are served from cache and only the sink executes.
         let cfg2 = RunConfig {
             seed: 1,
-            precision: "f64".to_string(),
             cache_root: base.join("cache"),
             out_dir: base.join("out"),
         };
@@ -592,7 +576,6 @@ mod tests {
         let count2 = Arc::new(AtomicUsize::new(0));
         let cfg2 = RunConfig {
             seed: 1,
-            precision: "f64".to_string(),
             cache_root: base.join("cache"),
             out_dir: base.join("out"),
         };
@@ -636,7 +619,6 @@ mod tests {
         assert_eq!(first.status_of("b"), Some(NodeStatus::Skipped));
         let cfg2 = RunConfig {
             seed: 1,
-            precision: "f64".to_string(),
             cache_root: base.join("cache"),
             out_dir: base.join("out"),
         };
@@ -654,7 +636,6 @@ mod tests {
                 pipeline(Arc::new(AtomicUsize::new(0)), csv, 4),
                 RunConfig {
                     seed: 7,
-                    precision: "f64".to_string(),
                     cache_root: PathBuf::from("unused"),
                     out_dir: PathBuf::from("unused"),
                 },
@@ -662,22 +643,21 @@ mod tests {
         };
         let k1 = mk("a").keys().unwrap();
         let k2 = mk("a").keys().unwrap();
-        assert_eq!(k1, k2, "same spec+seed+precision ⇒ identical keys");
+        assert_eq!(k1, k2, "same spec+seed ⇒ identical keys");
         let k3 = mk("b").keys().unwrap();
         assert_eq!(k1[0].1, k3[0].1, "upstream keys unaffected by sink param");
         assert_ne!(k1[2].1, k3[2].1, "sink param changes sink key");
         let k4 = FlowRunner::new(
             pipeline(Arc::new(AtomicUsize::new(0)), "a", 4),
             RunConfig {
-                seed: 7,
-                precision: "f32".to_string(),
+                seed: 8,
                 cache_root: PathBuf::from("unused"),
                 out_dir: PathBuf::from("unused"),
             },
         )
         .keys()
         .unwrap();
-        assert_ne!(k1[0].1, k4[0].1, "precision perturbs every key");
+        assert_ne!(k1[0].1, k4[0].1, "seed perturbs every key");
         assert_ne!(k1[2].1, k4[2].1);
     }
 
@@ -713,7 +693,6 @@ mod tests {
         };
         let cfg = RunConfig {
             seed: 1,
-            precision: "f64".to_string(),
             cache_root: base.join("cache"),
             out_dir: base.join("out"),
         };
@@ -724,7 +703,6 @@ mod tests {
         // stamp is honored, so nothing re-executes.
         let cfg2 = RunConfig {
             seed: 1,
-            precision: "f64".to_string(),
             cache_root: base.join("cache"),
             out_dir: base.join("out"),
         };

@@ -12,9 +12,6 @@
 //!   batched-inference substrate for GP prediction over candidate pools.
 //! - [`stats`]: summary statistics (means, standard deviations, quantiles,
 //!   correlations) used by the experiment harness and tests.
-//! - [`precision`]: the process-global [`Precision`] mode that lets the hot
-//!   kernels upstream (NN matmuls, GP fills) run in SIMD `f32` while `f64`
-//!   stays the bit-exact default.
 //!
 //! Everything is pure Rust over `f64`; no BLAS/LAPACK bindings are used.
 //!
@@ -34,14 +31,12 @@
 mod cholesky;
 mod error;
 mod matrix;
-pub mod precision;
 pub mod stats;
 pub mod triangular;
 
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use precision::{cpu_features, set_precision, Precision};
 
 /// Convenience result alias for fallible linear-algebra operations.
 pub type Result<T> = std::result::Result<T, LinalgError>;

@@ -166,32 +166,31 @@ impl Graph {
         self.push(v, Op::AddScalar(a))
     }
 
-    /// Leaky ReLU activation: `x if x > 0 else slope * x`. Computed in the
-    /// active precision (see [`Tensor::leaky_relu`]).
+    /// Leaky ReLU activation: `x if x > 0 else slope * x`.
     pub fn leaky_relu(&mut self, a: VarId, slope: f64) -> VarId {
         let v = self.value(a).leaky_relu(slope);
         self.push(v, Op::LeakyRelu(a, slope))
     }
 
-    /// Logistic sigmoid activation, computed in the active precision.
+    /// Logistic sigmoid activation.
     pub fn sigmoid(&mut self, a: VarId) -> VarId {
         let v = self.value(a).sigmoid();
         self.push(v, Op::Sigmoid(a))
     }
 
-    /// Hyperbolic tangent activation, computed in the active precision.
+    /// Hyperbolic tangent activation.
     pub fn tanh(&mut self, a: VarId) -> VarId {
         let v = self.value(a).tanh();
         self.push(v, Op::Tanh(a))
     }
 
-    /// Elementwise exponential, computed in the active precision.
+    /// Elementwise exponential.
     pub fn exp(&mut self, a: VarId) -> VarId {
         let v = self.value(a).exp();
         self.push(v, Op::Exp(a))
     }
 
-    /// Elementwise natural logarithm, computed in the active precision.
+    /// Elementwise natural logarithm.
     ///
     /// # Panics
     ///

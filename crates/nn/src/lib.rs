@@ -7,11 +7,8 @@
 //!
 //! - [`Tensor`]: dense 2-D `f64` arrays (batch × features). Its matmul
 //!   family runs AVX2 or AVX-512 f64 kernels where the CPU has them, with
-//!   the same bits as the scalar kernels. Setting the process-global
-//!   [`Precision`] to `F32` (env `VAESA_PRECISION=f32`) reroutes its
-//!   matmul/activation/Adam hot loops through the SIMD f32 backend
-//!   ([`TensorF32`] exposes the same kernels directly); `f64` stays the
-//!   bit-exact default.
+//!   the same bits as the scalar kernels ([`cpu_features`] names what the
+//!   CPU offers).
 //! - [`Graph`]: a define-by-run autodiff tape with the operations the VAESA
 //!   models need (matmul, broadcasting bias, leaky ReLU/sigmoid/tanh, exp/ln,
 //!   slicing/concatenation, MSE and Gaussian-KL losses).
@@ -55,7 +52,6 @@ mod data;
 mod graph;
 mod layers;
 mod optim;
-mod simd32;
 mod simd64;
 mod tensor;
 
@@ -63,6 +59,5 @@ pub use data::{rand_uniform, randn, randn_into, Batcher};
 pub use graph::{finite_diff_check, Graph, VarId};
 pub use layers::{Activation, Linear, Mlp, MlpPass, Param};
 pub use optim::{Adam, Sgd};
-pub use simd32::TensorF32;
+pub use simd64::cpu_features;
 pub use tensor::Tensor;
-pub use vaesa_linalg::{cpu_features, set_precision, Precision};

@@ -1,7 +1,6 @@
 use crate::Param;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
-use vaesa_linalg::Precision;
 
 /// Global optimizer-step counter, cached so the per-batch increment is one
 /// relaxed atomic add (no registry lookup) after first use.
@@ -122,8 +121,7 @@ impl Adam {
     ///
     /// Used by model-level helpers (e.g. `Mlp::adam_step`) that visit
     /// parameters one at a time; the bias-correction term is derived from the
-    /// step counter advanced by [`Adam::begin_step`]. In f32 precision mode
-    /// the moment/update loop runs on the SIMD f32 backend.
+    /// step counter advanced by [`Adam::begin_step`].
     ///
     /// # Panics
     ///
@@ -135,21 +133,6 @@ impl Adam {
         let bc2 = 1.0 - self.beta2.powf(t);
         let n = p.value.len();
         debug_assert_eq!(n, p.grad.len(), "param/grad shape mismatch");
-        if Precision::active().is_f32() {
-            crate::simd32::adam_update(
-                p.value.as_mut_slice(),
-                p.grad.as_slice(),
-                p.m.as_mut_slice(),
-                p.v.as_mut_slice(),
-                self.learning_rate,
-                self.beta1,
-                self.beta2,
-                self.epsilon,
-                bc1,
-                bc2,
-            );
-            return;
-        }
         for i in 0..n {
             let g = p.grad.as_slice()[i];
             let m = self.beta1 * p.m.as_slice()[i] + (1.0 - self.beta1) * g;

@@ -3,13 +3,13 @@
 //! [`Tensor::matmul_transpose_b`](crate::Tensor::matmul_transpose_b).
 //!
 //! Each product has a scalar body plus AVX2 and AVX-512F bodies generated
-//! from one template; the tier is picked once per process from the same
-//! runtime feature detection as the f32 backend, with the scalar bodies as
-//! the fallback. The SIMD bodies vectorize across output columns and give
-//! every output element exactly the multiplies and adds of the scalar body,
-//! in the same order, each rounded separately — never FMA. Every tier
-//! therefore produces the same IEEE-754 bits on every machine, so f64 stays
-//! the bit-exact reference (DESIGN.md §3.2). Per output element:
+//! from one template; the tier is picked once per process by runtime
+//! feature detection ([`simd_level`]), with the scalar bodies as the
+//! fallback. The SIMD bodies vectorize across output columns and give every
+//! output element exactly the multiplies and adds of the scalar body, in
+//! the same order, each rounded separately — never FMA. Every tier
+//! therefore produces the same IEEE-754 bits on every machine (DESIGN.md
+//! §3.2, "Numerics"). Per output element:
 //!
 //! - `matmul`: starting from `0.0`, one add per panel of [`PANEL`]
 //!   consecutive inner-dimension rows, panels in increasing `k`, of the
@@ -25,8 +25,8 @@
 //! Parallelism splits only output rows, in row blocks fixed by shape, so
 //! the bits are also independent of the thread count.
 
-use crate::simd32::{simd_level, SimdLevel};
 use crate::tensor::run_rowblocks;
+use std::sync::OnceLock;
 
 /// Inner-dimension panel width of the `matmul` accumulation.
 const PANEL: usize = 4;
@@ -51,6 +51,60 @@ pub(crate) struct Tier {
     pub matmul: Product,
     pub matmul_ta: Product,
     pub matmul_tb: Product,
+}
+
+/// SIMD tier selected once per process from runtime feature detection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SimdLevel {
+    Avx512,
+    Avx2,
+    Scalar,
+}
+
+/// The widest tier this CPU supports. The bodies never use FMA, so only
+/// the vector width is detected.
+fn simd_level() -> SimdLevel {
+    static L: OnceLock<SimdLevel> = OnceLock::new();
+    *L.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return SimdLevel::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return SimdLevel::Avx2;
+            }
+        }
+        SimdLevel::Scalar
+    })
+}
+
+/// The SIMD capabilities detected on this machine, as a stable `+`-joined
+/// string (e.g. `"avx2+avx512f+fma"`), or `"baseline"` when none of the
+/// listed features are present (including non-x86 builds).
+///
+/// Run manifests record this so results and timings can be grouped by the
+/// hardware that produced them: a median over records from different
+/// machines is meaningless for wall-time gates.
+pub fn cpu_features() -> String {
+    let mut feats: Vec<&str> = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            feats.push("avx2");
+        }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            feats.push("avx512f");
+        }
+        if std::arch::is_x86_feature_detected!("fma") {
+            feats.push("fma");
+        }
+    }
+    if feats.is_empty() {
+        "baseline".to_string()
+    } else {
+        feats.join("+")
+    }
 }
 
 /// The tier [`simd_level`] selects for this process.
@@ -671,6 +725,14 @@ mod avx512 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cpu_features_is_nonempty_and_stable() {
+        let a = cpu_features();
+        assert!(!a.is_empty());
+        assert_eq!(a, cpu_features());
+        assert!(a == "baseline" || a.split('+').all(|f| !f.is_empty()));
+    }
 
     /// The SIMD tiers this CPU can run, by name.
     fn simd_tiers() -> Vec<(&'static str, &'static Tier)> {

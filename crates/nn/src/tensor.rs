@@ -1,6 +1,5 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use vaesa_linalg::Precision;
 
 /// A dense, row-major, two-dimensional `f64` tensor.
 ///
@@ -224,62 +223,31 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` elementwise in `f32` — operands are rounded once and the
-    /// result widened back. The elementwise path of the f32 precision mode.
-    fn map_f32(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| f64::from(f(v as f32))).collect(),
-        }
-    }
-
-    /// Elementwise logistic sigmoid `1 / (1 + e^-x)`, computed in the active
-    /// [`Precision`] (f32 transcendentals roughly halve the cost).
+    /// Elementwise logistic sigmoid `1 / (1 + e^-x)`.
     pub fn sigmoid(&self) -> Tensor {
-        match Precision::active() {
-            Precision::F64 => self.map(|x| 1.0 / (1.0 + (-x).exp())),
-            Precision::F32 => self.map_f32(|x| 1.0 / (1.0 + (-x).exp())),
-        }
+        self.map(|x| 1.0 / (1.0 + (-x).exp()))
     }
 
-    /// Elementwise hyperbolic tangent in the active [`Precision`].
+    /// Elementwise hyperbolic tangent.
     pub fn tanh(&self) -> Tensor {
-        match Precision::active() {
-            Precision::F64 => self.map(f64::tanh),
-            Precision::F32 => self.map_f32(f32::tanh),
-        }
+        self.map(f64::tanh)
     }
 
-    /// Elementwise natural exponential in the active [`Precision`].
+    /// Elementwise natural exponential.
     pub fn exp(&self) -> Tensor {
-        match Precision::active() {
-            Precision::F64 => self.map(f64::exp),
-            Precision::F32 => self.map_f32(f32::exp),
-        }
+        self.map(f64::exp)
     }
 
-    /// Elementwise natural logarithm in the active [`Precision`]; callers
-    /// guarantee positive inputs (see `Graph::ln`).
+    /// Elementwise natural logarithm; callers guarantee positive inputs (see
+    /// `Graph::ln`).
     pub fn ln(&self) -> Tensor {
-        match Precision::active() {
-            Precision::F64 => self.map(f64::ln),
-            Precision::F32 => self.map_f32(f32::ln),
-        }
+        self.map(f64::ln)
     }
 
     /// Elementwise leaky ReLU (`x` for positive inputs, `slope * x`
-    /// otherwise) in the active [`Precision`]. The f32 path runs the
-    /// runtime-dispatched branch-free SIMD select kernel.
+    /// otherwise).
     pub fn leaky_relu(&self, slope: f64) -> Tensor {
-        match Precision::active() {
-            Precision::F64 => self.map(|x| if x > 0.0 { x } else { slope * x }),
-            Precision::F32 => Tensor {
-                rows: self.rows,
-                cols: self.cols,
-                data: crate::simd32::leaky_relu(&self.data, slope),
-            },
-        }
+        self.map(|x| if x > 0.0 { x } else { slope * x })
     }
 
     fn zip(&self, other: &Tensor, op: &str, f: impl Fn(f64, f64) -> f64) -> Tensor {
@@ -400,13 +368,6 @@ impl Tensor {
     /// are bit-identical on every machine and for every thread count (see
     /// DESIGN.md, "Threading & determinism policy").
     ///
-    /// When the active [`Precision`] is `F32`, the product (like both fused
-    /// transpose variants) routes through the runtime-dispatched SIMD f32
-    /// backend instead — same fixed accumulation order, tolerance-tested
-    /// accuracy — for every shape whose O(m·k·n) kernel work amortizes the
-    /// f64→f32 round trip; smaller products keep the f64 kernels (a
-    /// deterministic, shape-only choice).
-    ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.
@@ -419,10 +380,6 @@ impl Tensor {
         let (m, inner, n) = (self.rows, self.cols, other.cols);
         let mut out = Tensor::zeros(m, n);
         if m == 0 || n == 0 || inner == 0 {
-            return out;
-        }
-        if Precision::active().is_f32() && crate::simd32::amortizes(m, inner, n) {
-            crate::simd32::matmul_into(&self.data, &other.data, m, inner, n, &mut out.data);
             return out;
         }
         // SAFETY: the tier was selected under runtime feature detection.
@@ -451,10 +408,6 @@ impl Tensor {
         let (r_dim, p, n) = (self.rows, self.cols, other.cols);
         let mut out = Tensor::zeros(p, n);
         if p == 0 || n == 0 || r_dim == 0 {
-            return out;
-        }
-        if Precision::active().is_f32() && crate::simd32::amortizes(p, r_dim, n) {
-            crate::simd32::matmul_ta_into(&self.data, &other.data, r_dim, p, n, &mut out.data);
             return out;
         }
         // SAFETY: the tier was selected under runtime feature detection.
@@ -487,10 +440,6 @@ impl Tensor {
         let (m, inner, n) = (self.rows, self.cols, other.rows);
         let mut out = Tensor::zeros(m, n);
         if m == 0 || n == 0 || inner == 0 {
-            return out;
-        }
-        if Precision::active().is_f32() && crate::simd32::amortizes(m, inner, n) {
-            crate::simd32::matmul_tb_into(&self.data, &other.data, m, inner, n, &mut out.data);
             return out;
         }
         // SAFETY: the tier was selected under runtime feature detection.
@@ -652,13 +601,12 @@ const PAR_FLOP_THRESHOLD: usize = 1 << 20;
 /// (`flops` multiply-accumulates) and a pool exists. Chunk boundaries are
 /// fixed by [`ROW_BLOCK`], never by thread count, so the arithmetic each
 /// output element sees is identical in serial and parallel runs. Kernels
-/// get whole blocks so they can register-block over rows. Generic over the
-/// element type so the f64 and f32 kernels share one fan-out policy.
-pub(crate) fn run_rowblocks<T: Send>(
-    data: &mut [T],
+/// get whole blocks so they can register-block over rows.
+pub(crate) fn run_rowblocks(
+    data: &mut [f64],
     n: usize,
     flops: usize,
-    kernel: impl Fn(usize, &mut [T]) + Sync,
+    kernel: impl Fn(usize, &mut [f64]) + Sync,
 ) {
     debug_assert_eq!(data.len() % n, 0);
     if flops >= PAR_FLOP_THRESHOLD && vaesa_par::num_threads() > 1 {

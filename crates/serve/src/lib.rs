@@ -568,9 +568,11 @@ mod tests {
         assert!(parse_points("{\"points\":[[1]]}", 2)
             .unwrap_err()
             .contains("expected 2"));
-        assert!(parse_points("{\"points\":[[1,\"x\"]]}", 2)
-            .unwrap_err()
-            .contains("finite"));
+        for bad in ["\"x\"", "1e999", "-1e999"] {
+            assert!(parse_points(&format!("{{\"points\":[[1,{bad}]]}}"), 2)
+                .unwrap_err()
+                .contains("finite"));
+        }
         assert!(parse_points("{\"points\":[5]}", 2)
             .unwrap_err()
             .contains("not an array"));

@@ -129,11 +129,19 @@ fn daemon_serves_all_endpoints_and_cache_survives_restart() {
         other => panic!("bad designs: {other:?}"),
     }
 
-    // Error paths: malformed JSON, wrong row width, bad engine, bad route.
+    // Error paths: malformed JSON, wrong row width, a feature that
+    // underflows to zero, bad engine, bad route.
     let (status, _) = post(&addr, "/predict", "{nope");
     assert_eq!(status, 400);
     let (status, _) = post(&addr, "/predict", "{\"points\":[[1.0,2.0]]}");
     assert_eq!(status, 400);
+    let (status, body) = post(
+        &addr,
+        "/predict",
+        "{\"points\":[[64,768,11520,93696,91264,1e-400]]}",
+    );
+    assert_eq!(status, 400);
+    assert!(body.contains("non-positive feature"), "{body}");
     let (status, _) = post(&addr, "/search", "{\"engine\":\"quantum\"}");
     assert_eq!(status, 400);
     let (status, _) = post(&addr, "/search", "{\"engine\":\"gd\",\"mode\":\"direct\"}");

@@ -413,12 +413,9 @@ impl VaesaModel {
     /// z-gradients for `batch` latent points stored row-major in `zs`
     /// (`zs.len() == batch * dz`), all under the same `layer` features.
     ///
-    /// In the default f64 mode row `r` of both outputs is bit-identical to
+    /// Row `r` of both outputs is bit-identical to
     /// `predicted_edp_grad(&zs[r*dz..], ...)` at any thread count (see
-    /// [`EdpGradBatch`]). Under `VAESA_PRECISION=f32` the f32 routing guard
-    /// is shape-dependent (a wide batch amortizes the f32 conversion, a
-    /// single row does not), so batch and single-row results agree only to
-    /// the documented f32 tolerances.
+    /// [`EdpGradBatch`]).
     pub fn predicted_edp_grad_batch(
         &self,
         zs: &[f64],

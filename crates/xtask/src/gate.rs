@@ -6,7 +6,7 @@
 //! dse.evals == meta.dse.expected_evals     # another metric
 //! serve_predict_latency_ns:p99 <= 3e10     # a finite constant
 //! span:bench/train <= baseline * 1.25      # same name in --baseline
-//! meta.precision == "f32"                  # a meta string
+//! meta.bin == "fig12_gd"                   # a meta string
 //! dse.*.best_edp:len >= 1                  # every match, at least one
 //! ```
 //!
@@ -483,6 +483,6 @@ mod tests {
                 files += 1;
             }
         }
-        assert_eq!(files, 4, "manifest, precision, bench and serve rules");
+        assert_eq!(files, 3, "manifest, bench and serve rules");
     }
 }

@@ -120,8 +120,6 @@ workloads: alexnet, resnet50, resnext50, deepbench, vgg16, mobilenet,
            bert, all (the Table III training pool)
 
 environment:
-  VAESA_PRECISION=f32     numeric backend for NN/GP hot loops (default f64;
-                          f32 uses SIMD kernels)
   VAESA_EVAL_CACHE=DIR    persist scheduler evaluations to an append-only
                           log in DIR, shared across runs and commands";
 
