@@ -1,6 +1,6 @@
 //! Registry-level tests: every pipeline builds a schedulable graph with
-//! stable content-hash keys, and a fast Fig. 12 run reproduces its pinned
-//! artifacts byte for byte.
+//! stable content-hash keys, and fast Fig. 12 and Fig. 13 runs reproduce
+//! their pinned artifacts byte for byte.
 
 use std::path::PathBuf;
 
@@ -104,6 +104,39 @@ fn fig12_fast_artifacts_match_pinned_digests() {
     for (name, pinned) in [
         ("fig12_gd.csv", "417045737c7ffdd613d6d4805adfef09"),
         ("fig12_gd.svg", "c160c56eb4d95b1d2ea81c9085c56802"),
+    ] {
+        let text = std::fs::read_to_string(base.join("out").join(name)).unwrap();
+        let mut h = KeyHasher::new();
+        h.write_str(&text);
+        assert_eq!(h.finish().hex(), pinned, "{name} changed");
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// `fig13_gd_steps --fast` at seed 0 must keep writing these artifacts.
+/// Fig. 13 descends one start at a time through `GradientDescent::run`
+/// (200 steps), so this pins the serial descent path the batched Fig. 12
+/// search does not take.
+#[test]
+fn fig13_fast_artifacts_match_pinned_digests() {
+    let base = std::env::temp_dir().join(format!("vaesa-bench-fig13-pin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let args = Args {
+        seed: 0,
+        budget: None,
+        scale: 0,
+        out_dir: base.join("out"),
+    };
+    let graph = (find("fig13_gd_steps").unwrap().build)(&PipelineEnv::new(args)).unwrap();
+    let config = RunConfig {
+        seed: 0,
+        cache_root: base.join("cache"),
+        out_dir: base.join("out"),
+    };
+    FlowRunner::new(graph, config).run().unwrap();
+    for (name, pinned) in [
+        ("fig13_gd_steps.csv", "eeccc6a98c6d50894b91a5837036271f"),
+        ("fig13_gd_steps.svg", "474de1fa2a06b88ad71e55741876fdd3"),
     ] {
         let text = std::fs::read_to_string(base.join("out").join(name)).unwrap();
         let mut h = KeyHasher::new();

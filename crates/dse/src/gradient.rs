@@ -1,5 +1,27 @@
 use crate::{BatchDifferentiableObjective, BoxSpace, DifferentiableObjective};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
+
+fn proxy_passes() -> &'static Arc<vaesa_obs::Counter> {
+    static C: OnceLock<Arc<vaesa_obs::Counter>> = OnceLock::new();
+    C.get_or_init(|| vaesa_obs::counter("dse.gd.proxy_passes"))
+}
+
+fn proxy_ns() -> &'static Arc<vaesa_obs::Histogram> {
+    static H: OnceLock<Arc<vaesa_obs::Histogram>> = OnceLock::new();
+    H.get_or_init(|| vaesa_obs::histogram("dse.gd.proxy_ns"))
+}
+
+/// Runs one (possibly batched) objective evaluation, counting it in
+/// `dse.gd.proxy_passes` and timing it in `dse.gd.proxy_ns`.
+fn proxy_pass<T>(eval: impl FnOnce() -> T) -> T {
+    let timer = Instant::now();
+    let out = eval();
+    proxy_ns().record(timer.elapsed().as_nanos() as f64);
+    proxy_passes().incr();
+    out
+}
 
 /// Configuration for [`GradientDescent`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -120,7 +142,29 @@ impl GradientDescent {
         self.config.steps
     }
 
+    /// One clipped momentum step of every row of `xs` along `grad`,
+    /// projected back into the box. `grad` is clipped in place.
+    fn update(&self, xs: &mut [f64], velocity: &mut [f64], grad: &mut [f64]) {
+        if let Some(c) = self.config.clip {
+            for g in grad.iter_mut() {
+                *g = g.clamp(-c, c);
+            }
+        }
+        for i in 0..xs.len() {
+            velocity[i] = self.config.momentum * velocity[i] - self.config.learning_rate * grad[i];
+            xs[i] += velocity[i];
+        }
+        for row in xs.chunks_mut(self.space.dim()) {
+            self.space.clamp(row);
+        }
+    }
+
     /// Runs descent from `start`, recording every step.
+    ///
+    /// Each step evaluates the objective once, at the updated point: the
+    /// gradient returned there drives the next step, so a descent of `S`
+    /// steps makes `S + 1` objective calls. This relies on the objective
+    /// returning the same output bits for the same input bits.
     ///
     /// # Panics
     ///
@@ -131,26 +175,16 @@ impl GradientDescent {
         let mut x = start.to_vec();
         self.space.clamp(&mut x);
         let mut velocity = vec![0.0; x.len()];
-        let (v0, _) = objective.evaluate_with_grad(&x);
+        let (v0, mut grad) = proxy_pass(|| objective.evaluate_with_grad(&x));
         let mut steps = vec![GdStep {
             step: 0,
             x: x.clone(),
             value: v0,
         }];
         for step in 1..=self.config.steps {
-            let (_, mut grad) = objective.evaluate_with_grad(&x);
-            if let Some(c) = self.config.clip {
-                for g in &mut grad {
-                    *g = g.clamp(-c, c);
-                }
-            }
-            for i in 0..x.len() {
-                velocity[i] =
-                    self.config.momentum * velocity[i] - self.config.learning_rate * grad[i];
-                x[i] += velocity[i];
-            }
-            self.space.clamp(&mut x);
-            let (value, _) = objective.evaluate_with_grad(&x);
+            self.update(&mut x, &mut velocity, &mut grad);
+            let (value, next_grad) = proxy_pass(|| objective.evaluate_with_grad(&x));
+            grad = next_grad;
             steps.push(GdStep {
                 step,
                 x: x.clone(),
@@ -161,10 +195,11 @@ impl GradientDescent {
     }
 
     /// Runs descent from every start in lockstep, advancing the whole batch
-    /// with one batched objective evaluation per gradient step.
+    /// with one batched objective evaluation per gradient step (`S + 1`
+    /// batched calls for `S` steps).
     ///
-    /// The per-row update arithmetic (clip, momentum, clamp, value
-    /// re-evaluation) is identical to [`GradientDescent::run`], so as long
+    /// The per-row update arithmetic (clip, momentum, clamp, evaluation at
+    /// the updated point) is identical to [`GradientDescent::run`], so as long
     /// as the batched objective is row-equivalent to its per-point
     /// counterpart, path `r` is bit-identical to running
     /// [`GradientDescent::run`] from `starts[r]` alone.
@@ -192,7 +227,7 @@ impl GradientDescent {
             self.space.clamp(row);
         }
         let mut velocity = vec![0.0; b * dz];
-        let (v0, _) = objective.evaluate_with_grad_batch(&xs, b);
+        let (v0, mut grad) = proxy_pass(|| objective.evaluate_with_grad_batch(&xs, b));
         let mut paths: Vec<GdPath> = (0..b)
             .map(|r| GdPath {
                 steps: vec![GdStep {
@@ -203,21 +238,9 @@ impl GradientDescent {
             })
             .collect();
         for step in 1..=self.config.steps {
-            let (_, mut grad) = objective.evaluate_with_grad_batch(&xs, b);
-            if let Some(c) = self.config.clip {
-                for g in &mut grad {
-                    *g = g.clamp(-c, c);
-                }
-            }
-            for i in 0..xs.len() {
-                velocity[i] =
-                    self.config.momentum * velocity[i] - self.config.learning_rate * grad[i];
-                xs[i] += velocity[i];
-            }
-            for row in xs.chunks_mut(dz) {
-                self.space.clamp(row);
-            }
-            let (values, _) = objective.evaluate_with_grad_batch(&xs, b);
+            self.update(&mut xs, &mut velocity, &mut grad);
+            let (values, next_grad) = proxy_pass(|| objective.evaluate_with_grad_batch(&xs, b));
+            grad = next_grad;
             for (r, path) in paths.iter_mut().enumerate() {
                 path.steps.push(GdStep {
                     step,
@@ -233,7 +256,7 @@ impl GradientDescent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FnDifferentiable;
+    use crate::{FnBatchDifferentiable, FnDifferentiable};
 
     fn quadratic() -> FnDifferentiable<impl FnMut(&[f64]) -> (f64, Vec<f64>)> {
         FnDifferentiable::new(2, |x: &[f64]| {
@@ -305,7 +328,6 @@ mod tests {
 
     #[test]
     fn run_batch_matches_run_bitwise_per_start() {
-        use crate::FnBatchDifferentiable;
         let dim = 3;
         let scalar = |x: &[f64]| {
             let v = (x[0] - 0.7).powi(2) + (x[1] * x[2]).sin() + x[2] * x[2];
@@ -358,9 +380,140 @@ mod tests {
         }
     }
 
+    /// A bowl in `x2` with an exponential wall in `x0` (gradients far past
+    /// the clip near the upper bound) and a linear pull in `x1` that drives
+    /// it into the box's upper face, so both the clip and the clamp engage.
+    fn walled(x: &[f64]) -> (f64, Vec<f64>) {
+        let e = (3.0 * x[0]).exp();
+        let v = e - 4.0 * x[1] + (x[1] * x[2]).sin() + x[2] * x[2];
+        let g = vec![
+            3.0 * e,
+            -4.0 + x[2] * (x[1] * x[2]).cos(),
+            x[1] * (x[1] * x[2]).cos() + 2.0 * x[2],
+        ];
+        (v, g)
+    }
+
+    /// The two-calls-per-step descent: a gradient call at `x`, the update,
+    /// then a value call at the new `x`. Returns `(x, value)` per step.
+    fn two_pass_reference(
+        space: &BoxSpace,
+        config: GdConfig,
+        f: impl Fn(&[f64]) -> (f64, Vec<f64>),
+        start: &[f64],
+    ) -> Vec<(Vec<f64>, f64)> {
+        let mut x = start.to_vec();
+        space.clamp(&mut x);
+        let mut velocity = vec![0.0; x.len()];
+        let mut out = vec![(x.clone(), f(&x).0)];
+        for _ in 0..config.steps {
+            let (_, mut grad) = f(&x);
+            if let Some(c) = config.clip {
+                for g in &mut grad {
+                    *g = g.clamp(-c, c);
+                }
+            }
+            for i in 0..x.len() {
+                velocity[i] = config.momentum * velocity[i] - config.learning_rate * grad[i];
+                x[i] += velocity[i];
+            }
+            space.clamp(&mut x);
+            out.push((x.clone(), f(&x).0));
+        }
+        out
+    }
+
+    fn assert_path_matches(path: &GdPath, reference: &[(Vec<f64>, f64)]) {
+        assert_eq!(path.steps.len(), reference.len());
+        for (s, (x, v)) in path.steps.iter().zip(reference) {
+            assert_eq!(s.value.to_bits(), v.to_bits(), "value at step {}", s.step);
+            for (a, b) in s.x.iter().zip(x) {
+                assert_eq!(a.to_bits(), b.to_bits(), "x at step {}", s.step);
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_per_step_matches_two_pass_reference_bitwise() {
+        let dim = 3;
+        let space = BoxSpace::symmetric(dim, 1.5);
+        let config = GdConfig {
+            steps: 40,
+            ..GdConfig::default()
+        };
+        let clip = config.clip.unwrap();
+        let starts: Vec<Vec<f64>> = vec![
+            vec![1.2, -1.0, 0.5],
+            vec![0.9, 0.3, -1.4],
+            vec![2.5, -2.5, 0.0], // clamped into the box before step 0
+        ];
+        let references: Vec<_> = starts
+            .iter()
+            .map(|s| two_pass_reference(&space, config, walled, s))
+            .collect();
+        // The fixture must exercise both projections, or the test proves
+        // less than it claims.
+        assert!(starts
+            .iter()
+            .any(|s| walled(s).1.iter().any(|g| g.abs() > clip)));
+        assert!(references
+            .iter()
+            .flatten()
+            .any(|(x, _)| x[1].to_bits() == 1.5f64.to_bits()));
+
+        let gd = GradientDescent::new(space, config);
+        for (start, reference) in starts.iter().zip(&references) {
+            let path = gd.run(&mut FnDifferentiable::new(dim, walled), start);
+            assert_path_matches(&path, reference);
+        }
+        let mut batch_obj = FnBatchDifferentiable::new(dim, |xs: &[f64], _| {
+            let mut values = Vec::new();
+            let mut grads = Vec::with_capacity(xs.len());
+            for row in xs.chunks(dim) {
+                let (v, g) = walled(row);
+                values.push(v);
+                grads.extend_from_slice(&g);
+            }
+            (values, grads)
+        });
+        let paths = gd.run_batch(&mut batch_obj, &starts);
+        for (path, reference) in paths.iter().zip(&references) {
+            assert_path_matches(path, reference);
+        }
+    }
+
+    #[test]
+    fn descent_of_s_steps_calls_the_objective_s_plus_one_times() {
+        let steps = 17;
+        let gd = GradientDescent::new(
+            BoxSpace::symmetric(3, 1.5),
+            GdConfig {
+                steps,
+                ..GdConfig::default()
+            },
+        );
+        let mut calls = 0usize;
+        gd.run(
+            &mut FnDifferentiable::new(3, |x: &[f64]| {
+                calls += 1;
+                walled(x)
+            }),
+            &[0.1, 0.2, 0.3],
+        );
+        assert_eq!(calls, steps + 1);
+
+        let mut batch_calls = 0usize;
+        let mut batch_obj = FnBatchDifferentiable::new(3, |xs: &[f64], _| {
+            batch_calls += 1;
+            let (values, grads): (Vec<f64>, Vec<Vec<f64>>) = xs.chunks(3).map(walled).unzip();
+            (values, grads.concat())
+        });
+        gd.run_batch(&mut batch_obj, &[vec![0.1, 0.2, 0.3], vec![-1.0, 1.0, 0.0]]);
+        assert_eq!(batch_calls, steps + 1);
+    }
+
     #[test]
     fn run_batch_empty_starts_is_empty() {
-        use crate::FnBatchDifferentiable;
         let gd = GradientDescent::new(BoxSpace::unit(2), GdConfig::default());
         let mut obj = FnBatchDifferentiable::new(2, |xs: &[f64], _| {
             (vec![0.0; xs.len() / 2], vec![0.0; xs.len()])

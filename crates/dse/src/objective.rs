@@ -61,6 +61,12 @@ impl<F> std::fmt::Debug for FnObjective<F> {
 
 /// An objective with analytic gradients, used by the gradient-descent
 /// driver (`vae_gd` differentiates the trained performance predictors).
+///
+/// Implementations must be pure in their input bits: the same `x`, bit for
+/// bit, returns the same `(value, gradient)` bits on every call.
+/// [`GradientDescent::run`](crate::GradientDescent::run) relies on this to
+/// step along the gradient it got with the previous step's value instead
+/// of evaluating that point a second time.
 pub trait DifferentiableObjective {
     /// Dimensionality of the input.
     fn dim(&self) -> usize;
@@ -116,6 +122,13 @@ impl<F> std::fmt::Debug for FnDifferentiable<F> {
 /// per-point [`DifferentiableObjective`] would on that row alone; the
 /// batched descent driver relies on this to stay trace-identical to the
 /// serial multi-start loop.
+///
+/// Like [`DifferentiableObjective`], implementations must be pure in their
+/// input bits: the same `xs` returns the same `(values, gradients)` bits on
+/// every call, whatever scratch state earlier calls left behind.
+/// [`GradientDescent::run_batch`](crate::GradientDescent::run_batch) keeps
+/// the gradients of one call for the next step rather than recomputing
+/// them.
 pub trait BatchDifferentiableObjective {
     /// Dimensionality of each point.
     fn dim(&self) -> usize;
