@@ -106,7 +106,7 @@ impl GpRegressor {
         // the six candidate factorizations inside dominate the cost.
         let timer = std::time::Instant::now();
         let result = Self::fit_with_timed(xs, ys, kind, noise);
-        vaesa_obs::histogram("dse.gp.fit_ns").record(timer.elapsed().as_nanos() as f64);
+        vaesa_obs::histogram("dse.gp.fit_ns").record_duration(timer.elapsed());
         vaesa_obs::counter("dse.gp.fits").incr();
         result
     }

@@ -18,7 +18,7 @@ fn proxy_ns() -> &'static Arc<vaesa_obs::Histogram> {
 fn proxy_pass<T>(eval: impl FnOnce() -> T) -> T {
     let timer = Instant::now();
     let out = eval();
-    proxy_ns().record(timer.elapsed().as_nanos() as f64);
+    proxy_ns().record_duration(timer.elapsed());
     proxy_passes().incr();
     out
 }

@@ -47,7 +47,7 @@ impl Cholesky {
         // an O(n³) operation, so the sample itself is noise.
         let timer = std::time::Instant::now();
         let result = Self::new_timed(a, n);
-        vaesa_obs::histogram("linalg.cholesky.factor_ns").record(timer.elapsed().as_nanos() as f64);
+        vaesa_obs::histogram("linalg.cholesky.factor_ns").record_duration(timer.elapsed());
         result
     }
 
@@ -181,7 +181,7 @@ impl Cholesky {
         let timer = std::time::Instant::now();
         let mut out = b.clone();
         crate::triangular::solve_lower_multi_dense(&self.l, &mut out);
-        vaesa_obs::histogram("linalg.cholesky.solve_ns").record(timer.elapsed().as_nanos() as f64);
+        vaesa_obs::histogram("linalg.cholesky.solve_ns").record_duration(timer.elapsed());
         Ok(out)
     }
 
@@ -198,7 +198,7 @@ impl Cholesky {
         let timer = std::time::Instant::now();
         let mut out = b.clone();
         crate::triangular::solve_upper_multi_dense(&self.l, &mut out);
-        vaesa_obs::histogram("linalg.cholesky.solve_ns").record(timer.elapsed().as_nanos() as f64);
+        vaesa_obs::histogram("linalg.cholesky.solve_ns").record_duration(timer.elapsed());
         Ok(out)
     }
 

@@ -7,10 +7,11 @@
 //!
 //! - [`Counter`] — monotonically increasing `u64` (relaxed atomic);
 //! - [`Gauge`] — last-written `f64` (e.g. a cache hit rate snapshot);
-//! - [`Histogram`] — recorded `f64` samples with exact percentiles
-//!   (Cholesky timings, solve timings, ...);
-//! - [`LatencyHistogram`] / [`SlidingWindow`] — constant-memory bucketed
-//!   instruments for live services (see the retention policy below);
+//! - [`Histogram`] — constant-memory log-bucketed `u64` samples with
+//!   exact count/sum/min/max and bucket-resolution quantiles (Cholesky and
+//!   GP timings, request latencies, coalesced batch sizes);
+//! - [`SlidingWindow`] — the same buckets over the trailing N seconds, for
+//!   a daemon's windowed rate and p99;
 //! - [`Series`] — an ordered `f64` trajectory (per-epoch losses,
 //!   best-EDP-so-far curves);
 //! - spans — hierarchical wall/CPU timing scopes ([`Registry::span`],
@@ -36,21 +37,13 @@
 //! same registry in the Prometheus text format instead
 //! ([`prometheus_string`]); see `DESIGN.md` §2.12.
 //!
-//! # Sample-retention policy
+//! # Sample retention
 //!
-//! Batch experiments and long-lived daemons have opposite memory needs,
-//! so the crate draws the line explicitly:
-//!
-//! - [`Histogram`] retains raw `f64` samples for exact percentiles, but
-//!   **caps retention** at [`Histogram::RETAIN_CAP`] samples. Below the
-//!   cap every sample is kept and percentiles are exact; above it the
-//!   retained set decimates deterministically (every time the cap is hit,
-//!   every other retained sample is dropped and the keep stride doubles),
-//!   while `count`, `mean`, `min`, and `max` stay exact over the full
-//!   history. Memory is therefore bounded regardless of run length.
-//! - [`LatencyHistogram`] and [`SlidingWindow`] never retain samples at
-//!   all — fixed log-spaced buckets, constant memory, quantiles exact to
-//!   bucket resolution (≤ 25% relative). Serve-path call-sites use these.
+//! No instrument keeps raw samples. [`Histogram`] and [`SlidingWindow`]
+//! count into fixed log-spaced buckets (one per value for 0–3, then four
+//! per power of two), so memory is constant however long a batch run or
+//! daemon records, 0–7 are exact, and every quantile is within 25% of the
+//! exact nearest-rank value. Count, sum, min and max are exact.
 //!
 //! # Examples
 //!
@@ -61,7 +54,7 @@
 //!     let _chol = fit.child("cholesky");
 //!     reg.counter("gp.fits").incr();
 //! } // spans record on drop
-//! reg.histogram("gp.fit_ns").record(1.25e6);
+//! reg.histogram("gp.fit_ns").record(1_250_000);
 //! reg.series("dse.best_edp").push(3.2e9);
 //! let lines = vaesa_obs::manifest_lines(&reg);
 //! assert!(lines.iter().any(|l| l.contains("\"record\":\"span\"")));
@@ -75,7 +68,7 @@ mod request;
 mod scope;
 mod trace;
 
-pub use live::{LatencyHistogram, LatencySnapshot, SlidingWindow};
+pub use live::{Histogram, HistogramSummary, SlidingWindow};
 pub use manifest::{manifest_lines, manifest_string, write_manifest};
 pub use prom::{
     parse_prometheus, prometheus_string, sanitize_metric_name, PromSample, PromSnapshot,
@@ -188,164 +181,6 @@ impl Gauge {
     }
 }
 
-/// Raw-sample histogram with bounded retention: percentiles are computed
-/// by nearest-rank over the retained samples.
-///
-/// Intended for coarse-grained measurements (per-factorization timings,
-/// per-fit timings). Up to [`Histogram::RETAIN_CAP`] samples every value
-/// is retained and percentiles are exact; past the cap, retention
-/// decimates deterministically — each time the retained set fills, every
-/// other sample (by arrival order) is dropped and the keep stride
-/// doubles, so memory stays bounded while the subsample remains uniform
-/// over arrival order. `count`, `mean`, `min`, and `max` are always exact
-/// over the full history. Live-service hot paths should prefer
-/// [`LatencyHistogram`] (constant memory, lock-free record); see the
-/// crate-level retention-policy docs.
-#[derive(Debug, Default)]
-pub struct Histogram {
-    state: Mutex<HistState>,
-}
-
-#[derive(Debug)]
-struct HistState {
-    /// Retained subsample, arrival order: indices `i * keep_every`.
-    samples: Vec<f64>,
-    /// Finite samples ever recorded.
-    seen: u64,
-    /// Arrival-index stride between retained samples (power of two).
-    keep_every: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for HistState {
-    fn default() -> Self {
-        HistState {
-            samples: Vec::new(),
-            seen: 0,
-            keep_every: 1,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-}
-
-/// Point-in-time summary of a [`Histogram`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSummary {
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-    /// Median (50th percentile, nearest-rank).
-    pub p50: f64,
-    /// 90th percentile (nearest-rank).
-    pub p90: f64,
-    /// 99th percentile (nearest-rank).
-    pub p99: f64,
-}
-
-impl Histogram {
-    /// Maximum raw samples retained for percentile computation. Exact
-    /// percentiles below this; deterministic decimation above it.
-    pub const RETAIN_CAP: usize = 4096;
-
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records one sample. Non-finite samples are dropped.
-    pub fn record(&self, v: f64) {
-        if !v.is_finite() {
-            return;
-        }
-        let mut state = self.state.lock().expect("histogram lock");
-        let index = state.seen;
-        state.seen += 1;
-        state.sum += v;
-        state.min = state.min.min(v);
-        state.max = state.max.max(v);
-        if index.is_multiple_of(state.keep_every) {
-            state.samples.push(v);
-            if state.samples.len() >= Self::RETAIN_CAP {
-                // Halve the retained set: keeping even positions keeps
-                // exactly the arrival indices divisible by the doubled
-                // stride, so the subsample stays uniform and reproducible.
-                let mut i = 0;
-                state.samples.retain(|_| {
-                    let keep = i % 2 == 0;
-                    i += 1;
-                    keep
-                });
-                state.keep_every *= 2;
-            }
-        }
-    }
-
-    /// Number of samples ever recorded (exact, even past the retention
-    /// cap).
-    pub fn count(&self) -> u64 {
-        self.state.lock().expect("histogram lock").seen
-    }
-
-    /// The `q`-quantile (`0.0 ..= 1.0`) by nearest rank over the retained
-    /// samples, or `None` if the histogram is empty. Exact while the
-    /// sample count is below [`Histogram::RETAIN_CAP`]; a uniform-subsample
-    /// estimate beyond it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn percentile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        let mut xs = self.state.lock().expect("histogram lock").samples.clone();
-        if xs.is_empty() {
-            return None;
-        }
-        xs.sort_by(|a, b| a.total_cmp(b));
-        let rank = ((q * xs.len() as f64).ceil() as usize).clamp(1, xs.len());
-        Some(xs[rank - 1])
-    }
-
-    /// Count, mean, extrema, and standard percentiles, or `None` if empty.
-    /// Count, mean, min, and max are exact over the full history;
-    /// percentiles follow the [`Histogram::percentile`] retention rules.
-    pub fn summary(&self) -> Option<HistogramSummary> {
-        let (mut xs, seen, sum, min, max) = {
-            let state = self.state.lock().expect("histogram lock");
-            (
-                state.samples.clone(),
-                state.seen,
-                state.sum,
-                state.min,
-                state.max,
-            )
-        };
-        if seen == 0 {
-            return None;
-        }
-        xs.sort_by(|a, b| a.total_cmp(b));
-        let n = xs.len();
-        let rank = |q: f64| xs[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
-        Some(HistogramSummary {
-            count: seen,
-            mean: sum / seen as f64,
-            min,
-            max,
-            p50: rank(0.50),
-            p90: rank(0.90),
-            p99: rank(0.99),
-        })
-    }
-}
-
 /// An append-only ordered `f64` trajectory (loss curves, best-so-far
 /// curves). Unlike a histogram, order is meaningful and preserved.
 #[derive(Debug, Default)]
@@ -437,7 +272,6 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    latency: Mutex<BTreeMap<String, Arc<LatencyHistogram>>>,
     series: Mutex<BTreeMap<String, Arc<Series>>>,
     spans: Mutex<BTreeMap<String, SpanStats>>,
     meta: Mutex<BTreeMap<String, String>>,
@@ -475,7 +309,6 @@ impl Registry {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            latency: Mutex::new(BTreeMap::new()),
             series: Mutex::new(BTreeMap::new()),
             spans: Mutex::new(BTreeMap::new()),
             meta: Mutex::new(BTreeMap::new()),
@@ -501,11 +334,10 @@ impl Registry {
         get_or_create!(self.histograms, name)
     }
 
-    /// The bucketed [`LatencyHistogram`] named `name`, created on first
-    /// use. Constant memory and lock-free recording — the instrument of
-    /// choice on serve paths.
-    pub fn latency_histogram(&self, name: &str) -> Arc<LatencyHistogram> {
-        get_or_create!(self.latency, name)
+    /// Alias of [`Registry::histogram`], kept so the `perfbench` crate
+    /// builds unchanged until its next change drops the call.
+    pub fn latency_histogram(&self, name: &str) -> Arc<Histogram> {
+        self.histogram(name)
     }
 
     /// The series named `name`, created on first use.
@@ -637,13 +469,6 @@ impl Registry {
             .iter()
             .filter_map(|(k, v)| v.summary().map(|s| (k.clone(), s)))
             .collect();
-        let latency = self
-            .latency
-            .lock()
-            .expect("registry lock")
-            .iter()
-            .filter_map(|(k, v)| v.snapshot().map(|s| (k.clone(), s)))
-            .collect();
         let series = self
             .series
             .lock()
@@ -659,7 +484,6 @@ impl Registry {
             counters,
             gauges,
             histograms,
-            latency,
             series,
             spans,
             events,
@@ -672,7 +496,6 @@ impl Registry {
         self.counters.lock().expect("registry lock").clear();
         self.gauges.lock().expect("registry lock").clear();
         self.histograms.lock().expect("registry lock").clear();
-        self.latency.lock().expect("registry lock").clear();
         self.series.lock().expect("registry lock").clear();
         self.spans.lock().expect("registry lock").clear();
         self.meta.lock().expect("registry lock").clear();
@@ -829,11 +652,6 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
     global().histogram(name)
 }
 
-/// [`Registry::latency_histogram`] on the [`global()`] registry.
-pub fn latency_histogram(name: &str) -> Arc<LatencyHistogram> {
-    global().latency_histogram(name)
-}
-
 /// [`Registry::series`] on the [`global()`] registry — or, while a
 /// [`Scope`] is entered on this thread, the scope's buffered series.
 pub fn series(name: &str) -> Arc<Series> {
@@ -908,81 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_percentiles_are_nearest_rank() {
-        let h = Histogram::new();
-        for v in 1..=100 {
-            h.record(v as f64);
-        }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.percentile(0.50), Some(50.0));
-        assert_eq!(h.percentile(0.90), Some(90.0));
-        assert_eq!(h.percentile(0.99), Some(99.0));
-        assert_eq!(h.percentile(0.0), Some(1.0));
-        assert_eq!(h.percentile(1.0), Some(100.0));
-        let s = h.summary().unwrap();
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 100.0);
-        assert!((s.mean - 50.5).abs() < 1e-12);
-        assert_eq!(s.p50, 50.0);
-        assert_eq!(s.p90, 90.0);
-        assert_eq!(s.p99, 99.0);
-    }
-
-    #[test]
-    fn histogram_drops_non_finite_and_handles_small_counts() {
-        let h = Histogram::new();
-        h.record(f64::NAN);
-        h.record(f64::INFINITY);
-        assert_eq!(h.summary(), None);
-        assert_eq!(h.percentile(0.5), None);
-        h.record(3.0);
-        let s = h.summary().unwrap();
-        assert_eq!((s.count, s.p50, s.p99), (1, 3.0, 3.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile")]
-    fn histogram_rejects_out_of_range_quantile() {
-        let _ = Histogram::new().percentile(1.5);
-    }
-
-    #[test]
-    fn histogram_retention_is_bounded_and_stays_accurate() {
-        let h = Histogram::new();
-        let n = (Histogram::RETAIN_CAP * 4) as u64;
-        for v in 1..=n {
-            h.record(v as f64);
-        }
-        // Exact aggregates over the full history, bounded retained set.
-        assert_eq!(h.count(), n);
-        let s = h.summary().unwrap();
-        assert_eq!(s.count, n);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, n as f64);
-        assert!((s.mean - (n as f64 + 1.0) / 2.0).abs() < 1e-9);
-        assert!(
-            h.state.lock().unwrap().samples.len() < Histogram::RETAIN_CAP,
-            "retained set must stay under the cap"
-        );
-        // Percentiles come from a uniform arrival-order subsample of a
-        // uniform stream: within a few percent of exact.
-        for (q, exact) in [(0.5, 0.5 * n as f64), (0.9, 0.9 * n as f64)] {
-            let got = h.percentile(q).unwrap();
-            assert!(
-                (got - exact).abs() / exact < 0.05,
-                "q={q}: {got} vs {exact}"
-            );
-        }
-        // Decimation is deterministic: an identical stream reproduces the
-        // identical summary.
-        let h2 = Histogram::new();
-        for v in 1..=n {
-            h2.record(v as f64);
-        }
-        assert_eq!(h.summary(), h2.summary());
-    }
-
-    #[test]
     fn series_preserve_order_and_replace() {
         let reg = Registry::new();
         let s = reg.series("curve");
@@ -1051,7 +794,7 @@ mod tests {
         let reg = Registry::new();
         reg.counter("c").incr();
         reg.gauge("g").set(1.0);
-        reg.histogram("h").record(1.0);
+        reg.histogram("h").record(1);
         reg.series("s").push(1.0);
         reg.record_span("sp", 1, 0);
         reg.set_meta("k", "v");
@@ -1066,31 +809,22 @@ mod tests {
     }
 
     #[test]
-    fn histogram_percentile_edge_cases() {
-        // Empty: every quantile is None.
-        let h = Histogram::new();
-        assert_eq!(h.percentile(0.0), None);
-        assert_eq!(h.percentile(1.0), None);
-
-        // Single sample: every quantile is that sample.
-        h.record(7.5);
-        for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-            assert_eq!(h.percentile(q), Some(7.5), "q={q}");
-        }
-
-        // Duplicates: nearest rank lands on the duplicated value, and
-        // q=0/q=1 are the extrema.
-        let d = Histogram::new();
-        for v in [2.0, 2.0, 2.0, 2.0, 9.0] {
-            d.record(v);
-        }
-        assert_eq!(d.percentile(0.0), Some(2.0));
-        assert_eq!(d.percentile(0.5), Some(2.0));
-        assert_eq!(d.percentile(0.8), Some(2.0));
-        assert_eq!(d.percentile(0.81), Some(9.0));
-        assert_eq!(d.percentile(1.0), Some(9.0));
-        let s = d.summary().unwrap();
-        assert_eq!((s.min, s.max, s.p50), (2.0, 9.0, 2.0));
+    fn latency_histogram_is_the_same_instrument_as_histogram() {
+        let reg = Registry::new();
+        assert!(Arc::ptr_eq(
+            &reg.histogram("q.ns"),
+            &reg.latency_histogram("q.ns")
+        ));
+        reg.latency_histogram("q.ns").record(40);
+        reg.histogram("q.ns").record(60);
+        assert_eq!(reg.latency_histogram("q.ns").count(), 2);
+        assert_eq!(reg.histogram("q.ns").sum(), 100);
+        let records: Vec<_> = manifest_lines(&reg)
+            .into_iter()
+            .filter(|l| l.contains("\"record\":\"histogram\""))
+            .collect();
+        assert_eq!(records.len(), 1, "{records:?}");
+        assert!(records[0].contains("\"name\":\"q.ns\",\"count\":2"));
     }
 
     #[test]

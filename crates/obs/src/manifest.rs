@@ -23,7 +23,7 @@
 //! the former and ignore the latter.
 
 use crate::json::Obj;
-use crate::{HistogramSummary, LatencySnapshot, Registry, SpanStats};
+use crate::{HistogramSummary, Registry, SpanStats};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
@@ -35,7 +35,6 @@ pub(crate) struct Snapshot {
     pub(crate) counters: BTreeMap<String, u64>,
     pub(crate) gauges: BTreeMap<String, f64>,
     pub(crate) histograms: BTreeMap<String, HistogramSummary>,
-    pub(crate) latency: BTreeMap<String, LatencySnapshot>,
     pub(crate) series: BTreeMap<String, Vec<f64>>,
     pub(crate) spans: BTreeMap<String, SpanStats>,
     pub(crate) events: Vec<String>,
@@ -69,35 +68,17 @@ pub fn manifest_lines(registry: &Registry) -> Vec<String> {
             .f64_field("value", *value);
         lines.push(o.finish());
     }
-    // Bucketed latency histograms render as ordinary histogram records
-    // (nanosecond fields widened to f64), merged name-sorted with the
-    // exact-sample histograms so manifest readers see one family.
-    let mut histograms = snap.histograms.clone();
-    for (name, s) in &snap.latency {
-        histograms.insert(
-            name.clone(),
-            HistogramSummary {
-                count: s.count,
-                mean: s.sum_ns as f64 / s.count.max(1) as f64,
-                min: s.min_ns as f64,
-                max: s.max_ns as f64,
-                p50: s.p50_ns as f64,
-                p90: s.p90_ns as f64,
-                p99: s.p99_ns as f64,
-            },
-        );
-    }
-    for (name, s) in &histograms {
+    for (name, s) in &snap.histograms {
         let mut o = Obj::new();
         o.str_field("record", "histogram")
             .str_field("name", name)
             .u64_field("count", s.count)
             .f64_field("mean", s.mean)
-            .f64_field("min", s.min)
-            .f64_field("max", s.max)
-            .f64_field("p50", s.p50)
-            .f64_field("p90", s.p90)
-            .f64_field("p99", s.p99);
+            .u64_field("min", s.min)
+            .u64_field("max", s.max)
+            .u64_field("p50", s.p50)
+            .u64_field("p90", s.p90)
+            .u64_field("p99", s.p99);
         lines.push(o.finish());
     }
     for (name, values) in &snap.series {
@@ -160,8 +141,8 @@ mod tests {
         reg.counter("b.count").add(2);
         reg.counter("a.count").add(1);
         reg.gauge("rate").set(0.5);
-        reg.histogram("ns").record(10.0);
-        reg.histogram("ns").record(30.0);
+        reg.histogram("ns").record(3);
+        reg.histogram("ns").record(7);
         reg.series("curve").push(3.0);
         reg.series("curve").push(1.0);
         reg.record_span("fit/cholesky", 100, 10);
@@ -188,7 +169,7 @@ mod tests {
             "{\"record\":\"counter\",\"name\":\"b.count\",\"value\":2}"
         );
         assert!(lines[3].contains("\"gauge\""));
-        assert!(lines[4].contains("\"histogram\"") && lines[4].contains("\"p50\":10"));
+        assert!(lines[4].contains("\"histogram\"") && lines[4].contains("\"p50\":3"));
         assert!(lines[5].contains("\"series\"") && lines[5].contains("[3,1]"));
         assert!(lines[6].contains("\"span\"") && lines[6].contains("fit/cholesky"));
         assert!(lines[7].contains("\\\"world\\\""));

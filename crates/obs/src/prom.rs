@@ -7,8 +7,7 @@
 //! |----------------------------|--------------------------------------------|
 //! | [`Counter`](crate::Counter)| `counter`                                  |
 //! | [`Gauge`](crate::Gauge)    | `gauge`                                    |
-//! | [`Histogram`](crate::Histogram) (exact-sample) | `summary` (`quantile` labels + `_sum`/`_count`) |
-//! | [`LatencyHistogram`](crate::LatencyHistogram)  | `histogram` (cumulative `_bucket{le=...}` + `_sum`/`_count`) |
+//! | [`Histogram`](crate::Histogram) | `histogram` (cumulative `_bucket{le=...}` + `_sum`/`_count`) |
 //!
 //! Metric names are sanitized (`serve.predict.rows` → `serve_predict_rows`)
 //! and every family is emitted in a fixed section order with names sorted,
@@ -49,8 +48,10 @@ fn number(v: f64) -> String {
 }
 
 /// Renders `registry` in the Prometheus text exposition format (version
-/// 0.0.4): counters, gauges, exact-sample histograms as summaries, then
-/// bucketed latency histograms, each section name-sorted.
+/// 0.0.4): counters, gauges, then histograms, each section name-sorted.
+/// A histogram's buckets, `+Inf` bucket and `_count` come from one
+/// [`HistogramSummary`](crate::HistogramSummary), so a scrape taken while
+/// other threads record is still cumulative and ends at `_count`.
 pub fn prometheus_string(registry: &Registry) -> String {
     let snap = registry.snapshot();
     let mut out = String::new();
@@ -67,32 +68,12 @@ pub fn prometheus_string(registry: &Registry) -> String {
     }
     for (name, s) in &snap.histograms {
         let n = sanitize_metric_name(name);
-        let _ = writeln!(out, "# TYPE {n} summary");
-        for (q, v) in [("0.5", s.p50), ("0.9", s.p90), ("0.99", s.p99)] {
-            let _ = writeln!(out, "{n}{{quantile=\"{q}\"}} {}", number(v));
-        }
-        let _ = writeln!(out, "{n}_sum {}", number(s.mean * s.count as f64));
-        let _ = writeln!(out, "{n}_count {}", s.count);
-    }
-    for (name, s) in &snap.latency {
-        let n = sanitize_metric_name(name);
         let _ = writeln!(out, "# TYPE {n} histogram");
-        let mut saw_inf = false;
-        for (upper, cum) in &s.buckets {
-            match upper {
-                Some(le) => {
-                    let _ = writeln!(out, "{n}_bucket{{le=\"{le}\"}} {cum}");
-                }
-                None => {
-                    saw_inf = true;
-                    let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {cum}");
-                }
-            }
+        for (le, cum) in &s.buckets {
+            let _ = writeln!(out, "{n}_bucket{{le=\"{le}\"}} {cum}");
         }
-        if !saw_inf {
-            let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {}", s.count);
-        }
-        let _ = writeln!(out, "{n}_sum {}", s.sum_ns);
+        let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {}", s.count);
+        let _ = writeln!(out, "{n}_sum {}", s.sum);
         let _ = writeln!(out, "{n}_count {}", s.count);
     }
     out
@@ -143,10 +124,9 @@ impl PromSnapshot {
         self.samples.iter().filter(move |s| s.name == name)
     }
 
-    /// The `q`-quantile of metric `base`, resolved from either a
-    /// `histogram` family (cumulative `<base>_bucket{le=...}` counts) or a
-    /// `summary` family (`<base>{quantile="..."}` samples, matched within
-    /// 1e-9). Returns `None` when the family is absent or empty. Like
+    /// The `q`-quantile of the `histogram` family `base`, resolved from its
+    /// cumulative `<base>_bucket{le=...}` counts. Returns `None` when the
+    /// family is absent or empty. Like
     /// `histogram_quantile`, a quantile landing in the `+Inf` bucket
     /// resolves to the highest finite bucket bound, keeping the result
     /// comparable against finite SLO thresholds.
@@ -164,36 +144,27 @@ impl PromSnapshot {
                 Some((bound, s.value))
             })
             .collect();
-        if !buckets.is_empty() {
-            buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let total = buckets.last().map(|b| b.1)?;
-            if total <= 0.0 {
-                return None;
-            }
-            let rank = (q * total).ceil().clamp(1.0, total);
-            let highest_finite = buckets
-                .iter()
-                .rev()
-                .find(|(bound, _)| bound.is_finite())
-                .map(|(bound, _)| *bound);
-            for (bound, cum) in &buckets {
-                if *cum >= rank {
-                    return if bound.is_finite() {
-                        Some(*bound)
-                    } else {
-                        highest_finite.or(Some(*bound))
-                    };
-                }
-            }
-            return buckets.last().map(|b| b.0);
+        buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let total = buckets.last().map(|b| b.1)?;
+        if total <= 0.0 {
+            return None;
         }
-        self.samples_named(base)
-            .find(|s| {
-                s.label("quantile")
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .is_some_and(|sq| (sq - q).abs() < 1e-9)
-            })
-            .map(|s| s.value)
+        let rank = (q * total).ceil().clamp(1.0, total);
+        let highest_finite = buckets
+            .iter()
+            .rev()
+            .find(|(bound, _)| bound.is_finite())
+            .map(|(bound, _)| *bound);
+        for (bound, cum) in &buckets {
+            if *cum >= rank {
+                return if bound.is_finite() {
+                    Some(*bound)
+                } else {
+                    highest_finite.or(Some(*bound))
+                };
+            }
+        }
+        buckets.last().map(|b| b.0)
     }
 }
 
@@ -328,22 +299,26 @@ mod tests {
     }
 
     #[test]
-    fn writer_emits_all_four_family_kinds_with_type_lines() {
+    fn writer_emits_every_family_kind_with_type_lines() {
         let reg = Registry::new();
         reg.counter("serve.http.requests").add(3);
         reg.gauge("serve.inflight").set(2.0);
-        reg.histogram("gp.fit_ns").record(10.0);
-        reg.histogram("gp.fit_ns").record(30.0);
-        let lat = reg.latency_histogram("serve.predict.latency_ns");
-        lat.record_ns(500_000);
-        lat.record_ns(2_000_000);
+        reg.histogram("gp.fit_ns").record(10);
+        reg.histogram("gp.fit_ns").record(30);
+        let lat = reg.histogram("serve.predict.latency_ns");
+        lat.record(500_000);
+        lat.record(2_000_000);
 
         let text = prometheus_string(&reg);
         assert!(text.contains("# TYPE serve_http_requests counter\nserve_http_requests 3\n"));
         assert!(text.contains("# TYPE serve_inflight gauge\nserve_inflight 2\n"));
-        assert!(text.contains("# TYPE gp_fit_ns summary\n"));
-        assert!(text.contains("gp_fit_ns{quantile=\"0.5\"} 10\n"));
-        assert!(text.contains("gp_fit_ns_sum 40\n"));
+        assert!(text.contains(concat!(
+            "# TYPE gp_fit_ns histogram\n",
+            "gp_fit_ns_bucket{le=\"11\"} 1\n",
+            "gp_fit_ns_bucket{le=\"31\"} 2\n",
+            "gp_fit_ns_bucket{le=\"+Inf\"} 2\n",
+            "gp_fit_ns_sum 40\n",
+        )));
         assert!(text.contains("gp_fit_ns_count 2\n"));
         assert!(text.contains("# TYPE serve_predict_latency_ns histogram\n"));
         assert!(text.contains("serve_predict_latency_ns_bucket{le=\"+Inf\"} 2\n"));
@@ -357,10 +332,10 @@ mod tests {
         let reg = Registry::new();
         reg.counter("c.total").add(7);
         reg.gauge("g.now").set(0.25);
-        reg.histogram("h.vals").record(4.0);
-        let lat = reg.latency_histogram("l.ns");
+        reg.histogram("h.vals").record(4);
+        let lat = reg.histogram("l.ns");
         for us in [100u64, 200, 400, 800] {
-            lat.record_ns(us * 1_000);
+            lat.record(us * 1_000);
         }
         let snap = parse_prometheus(&prometheus_string(&reg)).expect("parse");
         assert_eq!(
@@ -377,9 +352,56 @@ mod tests {
         // Bucketed quantile lands within one bucket of the exact p50.
         let p50 = snap.quantile("l_ns", 0.5).unwrap();
         assert!((p50 - 200_000.0).abs() / 200_000.0 <= 0.25, "{p50}");
-        // Summary quantile resolves through the quantile label.
+        // Small integers have buckets of their own.
+        assert_eq!(
+            snap.types.get("h_vals").map(String::as_str),
+            Some("histogram")
+        );
         assert_eq!(snap.quantile("h_vals", 0.5), Some(4.0));
         assert_eq!(snap.quantile("absent", 0.5), None);
+    }
+
+    #[test]
+    fn scrapes_taken_while_recording_stay_cumulative() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{Arc, Barrier};
+        let reg = Registry::new();
+        let h = reg.histogram("busy.ns");
+        h.record(1);
+        let stop = Arc::new(AtomicBool::new(false));
+        let started = Arc::new(Barrier::new(2));
+        let recorder = {
+            let (stop, started) = (Arc::clone(&stop), Arc::clone(&started));
+            std::thread::spawn(move || {
+                started.wait();
+                let mut i = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    h.record(i % 5_000);
+                    i += 1;
+                }
+            })
+        };
+        started.wait();
+        for scrape in 0..300 {
+            let snap = parse_prometheus(&prometheus_string(&reg)).expect("parse");
+            let buckets: Vec<_> = snap.samples_named("busy_ns_bucket").collect();
+            for pair in buckets.windows(2) {
+                assert!(
+                    pair[0].value <= pair[1].value,
+                    "scrape {scrape}: not cumulative at le={:?}",
+                    pair[1].label("le")
+                );
+            }
+            let inf = buckets.last().expect("buckets");
+            assert_eq!(inf.label("le"), Some("+Inf"));
+            assert_eq!(
+                Some(inf.value),
+                snap.value("busy_ns_count"),
+                "scrape {scrape}"
+            );
+        }
+        stop.store(true, Ordering::Relaxed);
+        recorder.join().unwrap();
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use vaesa_obs::{Histogram, LatencyHistogram};
+use vaesa_obs::Histogram;
 
 struct BatchState<T, R> {
     /// Rows accumulated for the batch currently forming.
@@ -113,7 +113,7 @@ pub struct Batcher<T, R> {
 struct BatcherInstruments {
     /// `serve.coalesce.<name>.queue_wait_ns`: time each submission spent
     /// in the accumulation window before its batch closed.
-    queue_wait: Arc<LatencyHistogram>,
+    queue_wait: Arc<Histogram>,
     /// `serve.coalesce.<name>.batch_size`: rows per executed batch.
     batch_size: Arc<Histogram>,
 }
@@ -144,8 +144,8 @@ impl<T: Send, R: Send + Clone> Batcher<T, R> {
     }
 
     /// Like [`Batcher::new`], but records per-batch instruments into the
-    /// global registry under `serve.coalesce.<name>.queue_wait_ns`
-    /// (bucketed latency) and `serve.coalesce.<name>.batch_size`.
+    /// global registry: `serve.coalesce.<name>.queue_wait_ns` and
+    /// `serve.coalesce.<name>.batch_size` histograms.
     pub fn named(
         window: Duration,
         name: &str,
@@ -153,9 +153,7 @@ impl<T: Send, R: Send + Clone> Batcher<T, R> {
     ) -> Self {
         let mut batcher = Self::new(window, compute);
         batcher.instruments = Some(BatcherInstruments {
-            queue_wait: vaesa_obs::latency_histogram(&format!(
-                "serve.coalesce.{name}.queue_wait_ns"
-            )),
+            queue_wait: vaesa_obs::histogram(&format!("serve.coalesce.{name}.queue_wait_ns")),
             batch_size: vaesa_obs::histogram(&format!("serve.coalesce.{name}.batch_size")),
         });
         batcher
@@ -242,9 +240,11 @@ impl<T: Send, R: Send + Clone> Batcher<T, R> {
             if let Some(instruments) = &self.instruments {
                 let close = Instant::now();
                 for t in &enqueued {
-                    instruments.queue_wait.record(close.duration_since(*t));
+                    instruments
+                        .queue_wait
+                        .record_duration(close.duration_since(*t));
                 }
-                instruments.batch_size.record(batch.len() as f64);
+                instruments.batch_size.record(batch.len() as u64);
             }
 
             let size = batch.len();
@@ -459,7 +459,7 @@ mod tests {
         // The named batcher recorded per-batch instruments globally.
         assert!(vaesa_obs::histogram("serve.coalesce.test_tagged.batch_size").count() >= 1);
         assert!(
-            vaesa_obs::latency_histogram("serve.coalesce.test_tagged.queue_wait_ns").count()
+            vaesa_obs::histogram("serve.coalesce.test_tagged.queue_wait_ns").count()
                 >= threads as u64
         );
     }

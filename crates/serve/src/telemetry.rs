@@ -5,7 +5,7 @@
 //! (seeded counter — no wall-clock, so two daemons booted with the same
 //! seed mint the same id sequence). Handlers label the context with its
 //! endpoint and open spans through it; on finish the request is folded
-//! into constant-memory instruments ([`LatencyHistogram`] per endpoint,
+//! into constant-memory instruments ([`Histogram`] per endpoint,
 //! [`SlidingWindow`] for trailing rate/p99), appended to the JSONL access
 //! log, and retained in a bounded [`RequestTracker`] so its span tree
 //! stays retrievable via `GET /metrics/requests/<id>`.
@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use vaesa_obs::{
-    Counter, Gauge, LatencyHistogram, RequestCtx, RequestIdGen, RequestRecord, RequestTracker,
+    Counter, Gauge, Histogram, RequestCtx, RequestIdGen, RequestRecord, RequestTracker,
     SlidingWindow,
 };
 
@@ -59,7 +59,7 @@ pub struct Telemetry {
     /// Monotonic origin for window second-indices and access-log
     /// timestamps (no wall-clock anywhere on the request path).
     epoch: Instant,
-    latency: BTreeMap<&'static str, Arc<LatencyHistogram>>,
+    latency: BTreeMap<&'static str, Arc<Histogram>>,
     windows: BTreeMap<&'static str, SlidingWindow>,
     access_log: Mutex<Option<BufWriter<File>>>,
     inflight: AtomicU64,
@@ -108,12 +108,7 @@ impl Telemetry {
             epoch: Instant::now(),
             latency: ENDPOINTS
                 .iter()
-                .map(|&e| {
-                    (
-                        e,
-                        vaesa_obs::latency_histogram(&format!("serve.{e}.latency_ns")),
-                    )
-                })
+                .map(|&e| (e, vaesa_obs::histogram(&format!("serve.{e}.latency_ns"))))
                 .collect(),
             windows: ENDPOINTS
                 .iter()
@@ -150,7 +145,7 @@ impl Telemetry {
             .copied()
             .find(|e| *e == record.endpoint)
             .unwrap_or("other");
-        self.latency[endpoint].record_ns(record.wall_ns);
+        self.latency[endpoint].record(record.wall_ns);
         self.windows[endpoint].record_at(self.now_sec(), record.wall_ns);
 
         self.requests_total.incr();
@@ -382,7 +377,7 @@ mod tests {
         assert!(line.contains("\"method\":\"POST\""), "{line}");
 
         // Endpoint instruments recorded (global registry).
-        assert!(vaesa_obs::latency_histogram("serve.predict.latency_ns").count() >= 1);
+        assert!(vaesa_obs::histogram("serve.predict.latency_ns").count() >= 1);
         telemetry.sample();
         assert!(vaesa_obs::gauge("serve.window.predict.rate").get() > 0.0);
         let _ = std::fs::remove_dir_all(&dir);

@@ -33,8 +33,8 @@ usage: xtask <command> [args]
 
   prom-check <snapshot.prom>
       validate a scraped Prometheus snapshot: every sample under a
-      declared # TYPE family, cumulative histogram buckets ending at
-      +Inf, quantile labels inside [0, 1]
+      declared counter, gauge or histogram family, cumulative histogram
+      buckets ending at +Inf == _count
 
   trace-check <trace.json>
       validate a Chrome trace_event export: known phases, non-negative

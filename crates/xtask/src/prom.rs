@@ -3,9 +3,9 @@
 //!
 //! It proves a scraped snapshot is well-formed beyond merely
 //! parsing: every sample belongs to a declared `# TYPE` family (modulo
-//! the `_sum`/`_count`/`_bucket` suffixes), histogram bucket counts are
-//! cumulative-monotone and end at `+Inf`, and summary `quantile` labels
-//! are probabilities.
+//! the `_sum`/`_count`/`_bucket` suffixes), every family is a counter,
+//! gauge or histogram, and histogram bucket counts are cumulative-monotone
+//! and end at `+Inf` equal to `_count`.
 
 use std::path::Path;
 use vaesa_obs::{parse_prometheus, PromSnapshot};
@@ -15,8 +15,8 @@ use vaesa_obs::{parse_prometheus, PromSnapshot};
 /// # Errors
 ///
 /// Returns the accumulated violation list (parse errors, samples outside
-/// any declared family, broken histogram invariants, bad quantile
-/// labels).
+/// any declared family, unknown family types, broken histogram
+/// invariants).
 pub fn prom_check(path: &Path) -> Result<String, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}\n", path.display()))?;
@@ -34,7 +34,6 @@ pub fn prom_check(path: &Path) -> Result<String, String> {
     for (family, kind) in &snap.types {
         match kind.as_str() {
             "histogram" => check_histogram(&snap, family, &mut failures),
-            "summary" => check_summary(&snap, family, &mut failures),
             "counter" | "gauge" => {}
             other => failures.push(format!("family {family} has unknown type {other:?}")),
         }
@@ -52,7 +51,7 @@ pub fn prom_check(path: &Path) -> Result<String, String> {
 }
 
 /// The declared family a sample belongs to, accounting for the
-/// `_sum`/`_count`/`_bucket` suffixes of histogram and summary families.
+/// `_sum`/`_count`/`_bucket` suffixes of histogram families.
 fn family_of<'a>(snap: &'a PromSnapshot, sample: &str) -> Option<&'a str> {
     if snap.types.contains_key(sample) {
         return snap.types.get_key_value(sample).map(|(k, _)| k.as_str());
@@ -110,20 +109,6 @@ fn check_histogram(snap: &PromSnapshot, family: &str, failures: &mut Vec<String>
     }
 }
 
-fn check_summary(snap: &PromSnapshot, family: &str, failures: &mut Vec<String>) {
-    for sample in snap.samples_named(family) {
-        match sample.label("quantile").map(str::parse::<f64>) {
-            Some(Ok(q)) if (0.0..=1.0).contains(&q) => {}
-            Some(_) => failures.push(format!(
-                "summary {family} has a quantile label outside [0, 1]"
-            )),
-            None => failures.push(format!(
-                "summary {family} has a sample without a quantile label"
-            )),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +156,25 @@ mod tests {
         assert!(err.contains("not cumulative"), "{err}");
         assert!(err.contains("missing the +Inf bucket"), "{err}");
         assert!(err.contains("missing _count"), "{err}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn prom_check_rejects_a_summary_family() {
+        let path = temp_file(
+            "summary.prom",
+            concat!(
+                "# TYPE gp_fit_ns summary\n",
+                "gp_fit_ns{quantile=\"0.5\"} 10\n",
+                "gp_fit_ns_sum 40\n",
+                "gp_fit_ns_count 2\n",
+            ),
+        );
+        let err = prom_check(&path).unwrap_err();
+        assert!(
+            err.contains("family gp_fit_ns has unknown type \"summary\""),
+            "{err}"
+        );
         let _ = std::fs::remove_file(path);
     }
 }
