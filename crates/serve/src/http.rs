@@ -230,6 +230,7 @@ impl Response {
             405 => "Method Not Allowed",
             413 => "Payload Too Large",
             429 => "Too Many Requests",
+            503 => "Service Unavailable",
             _ => "Internal Server Error",
         }
     }

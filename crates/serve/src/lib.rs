@@ -23,6 +23,14 @@
 //! the persistent cross-run evaluation cache and is served from disk after
 //! a restart.
 //!
+//! The accept loop blocks in `accept()` and hands each connection to its
+//! own handler thread, at most [`MAX_HANDLERS`] at once; a connection
+//! past the cap is answered `503` with `Retry-After: 1` on the accept
+//! thread and closed. Handlers give a stalled client 10 s per read or
+//! write. `POST /shutdown` sets the stop flag and then connects
+//! once to the daemon's own port (loopback when bound to a wildcard
+//! address), which wakes the blocked accept into the graceful stop.
+//!
 //! Every connection is traced through a [`Telemetry`] hub: deterministic
 //! request ids (echoed as `X-Request-Id`), per-endpoint latency
 //! histograms and 60 s sliding windows, status-code counters, a JSONL
@@ -47,14 +55,22 @@ pub use telemetry::Telemetry;
 
 use http::{read_request, Request, Response};
 use serde::Value;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use vaesa_obs::RequestCtx;
+
+/// Most connection handlers alive at once. The accept thread answers a
+/// connection past the cap with `503` instead of spawning for it, so a
+/// flood of stalled clients cannot grow threads without bound.
+pub const MAX_HANDLERS: usize = 64;
+
+/// How long a handler waits on a stalled client for one read or write.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Daemon configuration: bind address, concurrency, and the startup build
 /// sizing ([`CoreConfig`]).
@@ -96,10 +112,14 @@ struct ServeState {
     pool: WorkerPool,
     telemetry: Telemetry,
     stop: AtomicBool,
+    /// Where `/shutdown` connects to wake the blocked accept.
+    wake: SocketAddr,
+    /// Live connection handlers, counted by [`HandlerSlot`].
+    handlers: AtomicUsize,
 }
 
 impl ServeState {
-    fn new(core: Arc<ServeCore>, config: &ServeConfig) -> io::Result<Self> {
+    fn new(core: Arc<ServeCore>, config: &ServeConfig, wake: SocketAddr) -> io::Result<Self> {
         let jobs = Arc::new(JobTable::new(config.job_capacity));
         let predict_core = Arc::clone(&core);
         let decode_core = Arc::clone(&core);
@@ -122,12 +142,73 @@ impl ServeState {
             jobs,
             telemetry,
             stop: AtomicBool::new(false),
+            wake,
+            handlers: AtomicUsize::new(0),
+        })
+    }
+
+    /// Stops the daemon: sets the flag, then connects once so the accept
+    /// loop, blocked in `accept()`, wakes up and sees it.
+    fn request_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Err(e) = TcpStream::connect(self.wake) {
+            // The loop still stops at the next connection it accepts.
+            eprintln!("vaesa-serve: shutdown wake-up connect failed: {e}");
+        }
+    }
+}
+
+/// One live connection handler. Holding it counts toward
+/// [`MAX_HANDLERS`]; dropping it, also while a panicking handler
+/// unwinds, frees the slot.
+struct HandlerSlot {
+    state: Arc<ServeState>,
+}
+
+impl HandlerSlot {
+    /// A slot, or `None` when [`MAX_HANDLERS`] handlers are already live.
+    fn acquire(state: &Arc<ServeState>) -> Option<HandlerSlot> {
+        if state.handlers.fetch_add(1, Ordering::SeqCst) >= MAX_HANDLERS {
+            state.handlers.fetch_sub(1, Ordering::SeqCst);
+            return None;
+        }
+        Some(HandlerSlot {
+            state: Arc::clone(state),
         })
     }
 }
 
-/// A running daemon: the accept loop on its own thread, handlers on
-/// per-connection threads.
+impl Drop for HandlerSlot {
+    fn drop(&mut self) {
+        self.state.handlers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The address that reaches a listener bound to `bound`: a wildcard IP
+/// (`0.0.0.0`, `::`) becomes loopback of the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Bounds how long a stalled client can hold a handler on one read or
+/// one write.
+fn set_io_timeouts(stream: &TcpStream) -> io::Result<()> {
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))
+}
+
+/// A running daemon: the accept loop on its own thread, blocked in
+/// `accept()`, and up to [`MAX_HANDLERS`] handlers, one thread per
+/// connection. `POST /shutdown` wakes the accept loop with a loopback
+/// connection; [`Server::join`] then returns once queued searches have
+/// finished and the persistent cache is flushed.
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
@@ -146,11 +227,8 @@ impl Server {
     /// build across restart cycles).
     pub fn start_with_core(config: ServeConfig, core: Arc<ServeCore>) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        // Nonblocking accept lets the loop observe the stop flag promptly
-        // without a wakeup connection.
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let state = Arc::new(ServeState::new(core, &config)?);
+        let state = Arc::new(ServeState::new(core, &config, wake_addr(addr))?);
         // Periodic sampler: refreshes point-in-time gauges (peak RSS,
         // in-flight, windowed rate/p99) so scrapes see fresh readings.
         // The Weak handle keeps the sampler from pinning the state alive
@@ -194,20 +272,23 @@ fn accept_loop(listener: TcpListener, state: Arc<ServeState>) {
     vaesa_obs::progress!("serve: listening");
     while !state.stop.load(Ordering::SeqCst) {
         match listener.accept() {
+            // After `/shutdown` this is its wake-up connection (or a client
+            // that raced it): drop it and stop.
+            Ok(_) if state.stop.load(Ordering::SeqCst) => break,
             Ok((stream, _peer)) => {
                 vaesa_obs::counter("serve.connections").incr();
-                let state = Arc::clone(&state);
+                let Some(slot) = HandlerSlot::acquire(&state) else {
+                    shed(stream);
+                    continue;
+                };
                 // One thread per connection: handlers must run concurrently
                 // for the admission queue to have anything to coalesce.
                 let spawned = std::thread::Builder::new()
                     .name("vaesa-serve-conn".to_string())
-                    .spawn(move || handle_connection(stream, &state));
+                    .spawn(move || handle_connection(stream, &slot.state));
                 if let Err(e) = spawned {
                     eprintln!("vaesa-serve: failed to spawn handler: {e}");
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
             }
             Err(e) => {
                 eprintln!("vaesa-serve: accept error: {e}");
@@ -238,11 +319,30 @@ fn accept_loop(listener: TcpListener, state: Arc<ServeState>) {
     vaesa_obs::progress!("serve: stopped");
 }
 
+/// Answers a connection over [`MAX_HANDLERS`] with `503` on the accept
+/// thread, without blocking it, and closes the connection.
+fn shed(mut stream: TcpStream) {
+    vaesa_obs::counter("serve.http.shed").incr();
+    // A fresh socket's send buffer takes the few hundred bytes at once.
+    let _ = stream.set_nonblocking(true);
+    let _ = Response::error(503, "server busy: too many open connections")
+        .with_header("Retry-After", "1")
+        .write_to(&mut stream);
+    // Closing with unread request bytes would send a reset that can beat
+    // the 503 to the client: send FIN first, then drain what has already
+    // arrived (a bounded amount, so a client that keeps sending cannot
+    // hold the accept thread).
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut sink = [0u8; 4096];
+    for _ in 0..16 {
+        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+            break;
+        }
+    }
+}
+
 fn handle_connection(mut stream: TcpStream, state: &ServeState) {
-    // Blocking I/O (inherited nonblocking flags vary by platform) with a
-    // timeout so a stalled client cannot pin a handler thread forever.
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+    let _ = set_io_timeouts(&stream);
     let ctx = state.telemetry.begin();
     let (response, method) = match read_request(&mut stream) {
         Ok(request) => {
@@ -291,7 +391,7 @@ fn route(request: &Request, state: &ServeState, ctx: &RequestCtx<'static>) -> Re
         ("POST", "/search") => handle_search(request, state),
         ("GET", path) if path.starts_with("/jobs/") => handle_job(path, state),
         ("POST", "/shutdown") => {
-            state.stop.store(true, Ordering::SeqCst);
+            state.request_stop();
             Response::json(200, "{\"status\":\"stopping\"}")
         }
         (_, "/healthz" | "/metrics" | "/predict" | "/decode" | "/search" | "/shutdown") => {
@@ -576,5 +676,30 @@ mod tests {
         assert!(parse_points("{\"points\":[5]}", 2)
             .unwrap_err()
             .contains("not an array"));
+    }
+
+    #[test]
+    fn accepted_streams_time_out_reads_and_writes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        set_io_timeouts(&stream).unwrap();
+        assert_eq!(
+            stream.read_timeout().unwrap(),
+            Some(Duration::from_secs(10))
+        );
+        assert_eq!(
+            stream.write_timeout().unwrap(),
+            Some(Duration::from_secs(10))
+        );
+    }
+
+    #[test]
+    fn wake_addr_replaces_wildcards_with_loopback() {
+        let wake = |s: &str| wake_addr(s.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:8737"), "127.0.0.1:8737");
+        assert_eq!(wake("[::]:8737"), "[::1]:8737");
+        assert_eq!(wake("127.0.0.1:9"), "127.0.0.1:9");
+        assert_eq!(wake("10.1.2.3:9"), "10.1.2.3:9");
     }
 }

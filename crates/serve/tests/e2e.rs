@@ -1,14 +1,32 @@
-//! End-to-end daemon test: boot the server on an ephemeral port with a
-//! persistent evaluation cache, drive every endpoint over real TCP,
-//! shut down cleanly, then boot a second daemon against the same cache
-//! directory and prove the cache survived the restart (warm hits > 0).
+//! End-to-end daemon tests over real TCP.
 //!
-//! Kept to one `#[test]` because `VAESA_EVAL_CACHE` is process-global
-//! state and the restart half depends on the first half's writes.
+//! The main test boots the server on an ephemeral port with a persistent
+//! evaluation cache, drives every endpoint, shuts down cleanly, then boots
+//! a second daemon against the same cache directory and proves the cache
+//! survived the restart (warm hits > 0). It is one `#[test]` because
+//! `VAESA_EVAL_CACHE` is process-global state and the restart half depends
+//! on the first half's writes. The connection-lifecycle tests (shutdown
+//! wake-up, stalled clients, the handler cap) share one in-memory core.
+//!
+//! Every test holds [`ENV_LOCK`], so no core is built while the main test
+//! has `VAESA_EVAL_CACHE` set.
 
 use serde::Value;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use vaesa_serve::{http_request, CoreConfig, ServeConfig, Server};
+use vaesa_serve::{http_request, CoreConfig, ServeConfig, ServeCore, Server, MAX_HANDLERS};
+
+static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+fn env_lock() -> MutexGuard<'static, ()> {
+    // A test that failed while holding the lock leaves no state behind.
+    ENV_LOCK
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn tiny_config(addr: &str, seed: u64) -> ServeConfig {
     ServeConfig {
@@ -67,8 +85,109 @@ fn poll_job_done(addr: &str, id: u64) -> Value {
     }
 }
 
+/// Runs `f` on its own thread and returns its result, failing the test
+/// if it takes longer than `limit` instead of hanging it.
+fn within<T: Send + 'static>(
+    limit: Duration,
+    what: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|e| panic!("{what} did not finish within {limit:?}: {e}"))
+}
+
+/// Shuts `server` down through `addr` and joins it, failing after 5 s
+/// instead of hanging.
+fn shutdown_and_join(addr: &str, server: Server) {
+    let (status, body) = post(addr, "/shutdown", "");
+    assert_eq!(status, 200, "{body}");
+    within(Duration::from_secs(5), "join after /shutdown", move || {
+        server.join()
+    });
+}
+
+#[test]
+fn shutdown_wakes_the_blocked_accept() {
+    let _env = env_lock();
+    let core = Arc::new(ServeCore::build(&tiny_config("127.0.0.1:0", 5).core));
+    for cycle in 0..5 {
+        let server = Server::start_with_core(tiny_config("127.0.0.1:0", 5), Arc::clone(&core))
+            .unwrap_or_else(|e| panic!("start {cycle}: {e}"));
+        let addr = server.addr().to_string();
+        let (status, _) = get(&addr, "/healthz");
+        assert_eq!(status, 200, "cycle {cycle}");
+        shutdown_and_join(&addr, server);
+    }
+    // Bound to the wildcard address, the wake-up connect goes to loopback.
+    let server = Server::start_with_core(tiny_config("0.0.0.0:0", 5), core).expect("start");
+    let addr = format!("127.0.0.1:{}", server.addr().port());
+    let (status, _) = get(&addr, "/healthz");
+    assert_eq!(status, 200);
+    shutdown_and_join(&addr, server);
+}
+
+#[test]
+fn stalled_clients_do_not_block_others_and_the_cap_sheds_with_503() {
+    let _env = env_lock();
+    let core = Arc::new(ServeCore::build(&tiny_config("127.0.0.1:0", 6).core));
+    let server = Server::start_with_core(tiny_config("127.0.0.1:0", 6), core).expect("start");
+    let addr = server.addr().to_string();
+
+    // One client connects and sends nothing; another is answered at once.
+    let stalled = TcpStream::connect(&addr).expect("connect");
+    let (status, _) = within(Duration::from_secs(5), "healthz beside a stalled client", {
+        let addr = addr.clone();
+        move || get(&addr, "/healthz")
+    });
+    assert_eq!(status, 200);
+
+    // Fill every handler slot with idle clients. The accept loop takes
+    // connections in order, so the next one finds the cap reached.
+    let mut idle = vec![stalled];
+    while idle.len() < MAX_HANDLERS {
+        idle.push(TcpStream::connect(&addr).expect("connect"));
+    }
+    let raw = within(Duration::from_secs(5), "a request over the cap", {
+        let addr = addr.clone();
+        move || {
+            let mut stream = TcpStream::connect(&addr).expect("connect");
+            stream
+                .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                .expect("write");
+            let mut raw = String::new();
+            // A reset instead of an answer fails here.
+            stream.read_to_string(&mut raw).expect("read the 503");
+            raw
+        }
+    });
+    assert!(raw.starts_with("HTTP/1.1 503 "), "{raw}");
+    assert!(raw.contains("\r\nRetry-After: 1\r\n"), "{raw}");
+
+    // Once the idle clients hang up, their slots free and service resumes.
+    drop(idle);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (status, _) = get(&addr, "/healthz");
+        if status == 200 {
+            break;
+        }
+        assert_eq!(status, 503);
+        assert!(Instant::now() < deadline, "handler slots were not freed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let (status, manifest) = get(&addr, "/metrics?format=manifest&name=serve.http.shed");
+    assert_eq!(status, 200);
+    assert!(metric(&manifest, "serve.http.shed").unwrap_or(0.0) >= 1.0);
+    shutdown_and_join(&addr, server);
+}
+
 #[test]
 fn daemon_serves_all_endpoints_and_cache_survives_restart() {
+    let _env = env_lock();
     let cache_dir = std::env::temp_dir().join(format!("vaesa-serve-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
     std::env::set_var("VAESA_EVAL_CACHE", &cache_dir);
@@ -254,9 +373,7 @@ fn daemon_serves_all_endpoints_and_cache_survives_restart() {
     let (status, _) = get(&addr, "/metrics/requests/r-unknown");
     assert_eq!(status, 404);
 
-    let (status, _) = post(&addr, "/shutdown", "");
-    assert_eq!(status, 200);
-    server.join();
+    shutdown_and_join(&addr, server);
 
     // ---- Second daemon, same cache directory: must start warm. ----
     let server = Server::start(tiny_config("127.0.0.1:0", 11)).expect("restart");
@@ -271,9 +388,7 @@ fn daemon_serves_all_endpoints_and_cache_survives_restart() {
         metric(&manifest, "scheduler.persistent.warm_hits").unwrap_or(0.0) > 0.0,
         "dataset rebuild must be served from the persisted cache"
     );
-    let (status, _) = post(&addr, "/shutdown", "");
-    assert_eq!(status, 200);
-    server.join();
+    shutdown_and_join(&addr, server);
 
     std::env::remove_var("VAESA_EVAL_CACHE");
     let _ = std::fs::remove_dir_all(&cache_dir);
