@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 use vaesa::{VaesaConfig, VaesaModel};
-use vaesa_nn::{randn, Graph, Tensor};
+use vaesa_nn::{randn, Adam, Graph, Tensor};
 
 fn model() -> VaesaModel {
     let mut rng = ChaCha8Rng::seed_from_u64(0);
@@ -88,6 +88,55 @@ fn bench_train_step(c: &mut Criterion) {
     }
 }
 
+/// One steady-state training step on a graph reused across iterations,
+/// as `Trainer::train_vae` runs it: `reset`, forward, backward, gradients
+/// into the parameters, Adam. The `train_step_fwd_bwd` ids build a fresh
+/// graph per iteration and so cannot see buffer reuse.
+fn bench_train_loop(c: &mut Criterion) {
+    let mut m = model();
+    let mut rng = ChaCha8Rng::seed_from_u64(2);
+    let batch = 64;
+    let mut inputs = [
+        Tensor::fill(batch, 6, 0.4),
+        Tensor::fill(batch, 8, 0.6),
+        randn(batch, m.latent_dim(), &mut rng),
+        Tensor::fill(batch, 1, 0.5),
+        Tensor::fill(batch, 1, 0.5),
+    ];
+    let mut g = Graph::new();
+    let mut adam = Adam::new(1e-3);
+    c.bench_function("nn/train_loop_step_b64", |b| {
+        b.iter(|| {
+            g.reset();
+            let [hw, layer, eps, lat, en] = inputs.each_mut().map(std::mem::take);
+            let step = m.train_step(&mut g, hw, layer, eps, lat, en);
+            g.backward(step.total);
+            for (mlp, pass) in [
+                (&mut m.encoder, &step.encoder_pass),
+                (&mut m.decoder, &step.decoder_pass),
+                (&mut m.latency_predictor, &step.latency_pass),
+                (&mut m.energy_predictor, &step.energy_pass),
+            ] {
+                mlp.zero_grad();
+                mlp.accumulate_grads(&g, pass);
+            }
+            adam.begin_step();
+            for mlp in [
+                &mut m.encoder,
+                &mut m.decoder,
+                &mut m.latency_predictor,
+                &mut m.energy_predictor,
+            ] {
+                mlp.visit_params(&mut |p| adam.update(p));
+            }
+            for (buf, &leaf) in inputs.iter_mut().zip(&step.input_leaves) {
+                *buf = g.take_value(leaf);
+            }
+            black_box(g.value(step.total).get(0, 0))
+        })
+    });
+}
+
 fn bench_inference(c: &mut Criterion) {
     let m = model();
     let hw = Tensor::fill(256, 6, 0.4);
@@ -115,5 +164,11 @@ fn bench_inference(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_matmul, bench_train_step, bench_inference);
+criterion_group!(
+    benches,
+    bench_matmul,
+    bench_train_step,
+    bench_train_loop,
+    bench_inference
+);
 criterion_main!(benches);

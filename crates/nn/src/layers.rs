@@ -4,8 +4,8 @@ use serde::{Deserialize, Serialize};
 
 /// A trainable parameter tensor together with its gradient and Adam moments.
 ///
-/// Layers own their `Param`s; optimizers mutate them through
-/// [`crate::Adam::step`] / [`crate::Sgd::step`].
+/// Layers own their `Param`s; the optimizer mutates them through
+/// [`crate::Adam::step`] / [`crate::Adam::update`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Param {
     /// Current value.
@@ -58,13 +58,16 @@ impl Activation {
     /// Applies the activation to a graph node.
     pub fn apply(self, g: &mut Graph, x: VarId) -> VarId {
         match self {
-            Activation::LeakyRelu => g.leaky_relu(x, 0.01),
+            Activation::LeakyRelu => g.leaky_relu(x, LEAKY_SLOPE),
             Activation::Sigmoid => g.sigmoid(x),
             Activation::Tanh => g.tanh(x),
             Activation::Identity => x,
         }
     }
 }
+
+/// Negative slope of [`Activation::LeakyRelu`].
+pub(crate) const LEAKY_SLOPE: f64 = 0.01;
 
 /// A fully connected layer `y = x W + b`.
 ///
@@ -105,16 +108,15 @@ impl Linear {
         self.weight.value.cols()
     }
 
-    /// Runs the layer on graph node `x`, returning `(output, weight id, bias id)`.
+    /// Runs the layer on graph node `x` as one fused node `act(x W + b)`
+    /// ([`Graph::linear`]), returning `(output, weight id, bias id)`.
     ///
     /// The returned ids let the caller pull gradients back into the `Param`s
     /// after `backward`; [`Mlp::forward`] does this bookkeeping for you.
-    pub fn forward(&self, g: &mut Graph, x: VarId) -> (VarId, VarId, VarId) {
-        let w = g.leaf(self.weight.value.clone());
-        let b = g.leaf(self.bias.value.clone());
-        let prod = g.matmul(x, w);
-        let out = g.add_row_broadcast(prod, b);
-        (out, w, b)
+    pub fn forward(&self, g: &mut Graph, x: VarId, act: Activation) -> (VarId, VarId, VarId) {
+        let w = g.param(&self.weight.value);
+        let b = g.param(&self.bias.value);
+        (g.linear(x, w, b, act), w, b)
     }
 }
 
@@ -210,13 +212,14 @@ impl Mlp {
         let mut param_ids = Vec::with_capacity(self.layers.len());
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            let (out, w, b) = layer.forward(g, h);
-            param_ids.push((w, b));
-            h = if i == last {
-                self.output_activation.apply(g, out)
+            let act = if i == last {
+                self.output_activation
             } else {
-                self.hidden_activation.apply(g, out)
+                self.hidden_activation
             };
+            let (out, w, b) = layer.forward(g, h, act);
+            param_ids.push((w, b));
+            h = out;
         }
         MlpPass {
             output: h,

@@ -10,11 +10,14 @@
 //!   the same bits as the scalar kernels ([`cpu_features`] names what the
 //!   CPU offers).
 //! - [`Graph`]: a define-by-run autodiff tape with the operations the VAESA
-//!   models need (matmul, broadcasting bias, leaky ReLU/sigmoid/tanh, exp/ln,
-//!   slicing/concatenation, MSE and Gaussian-KL losses).
+//!   models need (matmul, a fused fully connected layer, broadcasting bias,
+//!   leaky ReLU/sigmoid/tanh, exp, slicing/concatenation, MSE and
+//!   Gaussian-KL losses). Its slots keep their buffers across
+//!   [`Graph::reset`], so a tape reused by a training loop stops
+//!   allocating after the first step.
 //! - [`Linear`] / [`Mlp`]: fully connected networks with Kaiming-uniform
 //!   initialization.
-//! - [`Sgd`] / [`Adam`]: optimizers; Adam carries per-parameter moments in
+//! - [`Adam`]: the optimizer; it carries per-parameter moments in
 //!   [`Param`].
 //! - [`Batcher`], [`randn`], [`rand_uniform`]: minibatching and sampling
 //!   helpers (seeded, deterministic).
@@ -33,10 +36,12 @@
 //! let xs = Tensor::from_rows(&[&[0.0], &[0.5], &[1.0]]);
 //! let ys = xs.scale(2.0);
 //! let mut last_loss = f64::INFINITY;
+//! // One tape for the whole loop: `reset` keeps every buffer.
+//! let mut g = Graph::new();
 //! for _ in 0..1000 {
-//!     let mut g = Graph::new();
-//!     let x = g.leaf(xs.clone());
-//!     let t = g.leaf(ys.clone());
+//!     g.reset();
+//!     let x = g.constant(xs.clone());
+//!     let t = g.constant(ys.clone());
 //!     let pass = mlp.forward(&mut g, x);
 //!     let loss = g.mse(pass.output, t);
 //!     g.backward(loss);
@@ -58,6 +63,6 @@ mod tensor;
 pub use data::{rand_uniform, randn, randn_into, Batcher};
 pub use graph::{finite_diff_check, Graph, VarId};
 pub use layers::{Activation, Linear, Mlp, MlpPass, Param};
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use simd64::cpu_features;
 pub use tensor::Tensor;

@@ -9,60 +9,6 @@ fn adam_steps() -> &'static Arc<vaesa_obs::Counter> {
     C.get_or_init(|| vaesa_obs::counter("nn.adam.steps"))
 }
 
-/// Plain stochastic gradient descent with optional gradient clipping.
-///
-/// # Examples
-///
-/// ```
-/// use vaesa_nn::{Param, Sgd, Tensor};
-///
-/// let mut p = Param::new(Tensor::from_rows(&[&[1.0]]));
-/// p.grad = Tensor::from_rows(&[&[0.5]]);
-/// let sgd = Sgd::new(0.1);
-/// sgd.step(&mut [&mut p]);
-/// assert!((p.value.get(0, 0) - 0.95).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub learning_rate: f64,
-    /// Per-element gradient magnitude clip; `None` disables clipping.
-    pub clip: Option<f64>,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate and no clipping.
-    pub fn new(learning_rate: f64) -> Self {
-        assert!(learning_rate > 0.0, "learning rate must be positive");
-        Sgd {
-            learning_rate,
-            clip: None,
-        }
-    }
-
-    /// Sets per-element gradient clipping.
-    pub fn with_clip(mut self, clip: f64) -> Self {
-        assert!(clip > 0.0, "clip threshold must be positive");
-        self.clip = Some(clip);
-        self
-    }
-
-    /// Applies one descent step to each parameter, in place.
-    pub fn step(&self, params: &mut [&mut Param]) {
-        for p in params.iter_mut() {
-            let n = p.value.len();
-            debug_assert_eq!(n, p.grad.len(), "param/grad shape mismatch");
-            for i in 0..n {
-                let mut g = p.grad.as_slice()[i];
-                if let Some(c) = self.clip {
-                    g = g.clamp(-c, c);
-                }
-                p.value.as_mut_slice()[i] -= self.learning_rate * g;
-            }
-        }
-    }
-}
-
 /// The Adam optimizer (Kingma & Ba) with bias correction.
 ///
 /// Holds only hyperparameters and the step counter; the per-parameter moment
@@ -154,25 +100,6 @@ mod tests {
     fn quadratic_grad(p: &Param) -> Tensor {
         // f(x) = ½‖x - 3‖² => ∇f = x - 3
         p.value.map(|x| x - 3.0)
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut p = Param::new(Tensor::from_rows(&[&[0.0, 10.0]]));
-        let sgd = Sgd::new(0.2);
-        for _ in 0..100 {
-            p.grad = quadratic_grad(&p);
-            sgd.step(&mut [&mut p]);
-        }
-        assert!(p.value.as_slice().iter().all(|&x| (x - 3.0).abs() < 1e-6));
-    }
-
-    #[test]
-    fn sgd_clipping_limits_step_size() {
-        let mut p = Param::new(Tensor::from_rows(&[&[0.0]]));
-        p.grad = Tensor::from_rows(&[&[1000.0]]);
-        Sgd::new(0.1).with_clip(1.0).step(&mut [&mut p]);
-        assert!((p.value.get(0, 0) + 0.1).abs() < 1e-12); // moved exactly -lr*clip
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! the bits are also independent of the thread count.
 
 use crate::tensor::run_rowblocks;
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// Inner-dimension panel width of the `matmul` accumulation.
@@ -42,8 +43,8 @@ const COLS: usize = 2;
 /// `(A, B, m, inner, n)` for `matmul` (`A` is `m x inner`, `B` is
 /// `inner x n`); `(A, B, r, p, n)` for `matmul_transpose_a` (`A` is `r x p`,
 /// `B` is `r x n`); `(A, B, m, inner, n)` for `matmul_transpose_b` (`A` is
-/// `m x inner`, `B` is `n x inner`). `out` is zero-filled and holds the
-/// result rows.
+/// `m x inner`, `B` is `n x inner`). `out` receives the result rows; its
+/// prior contents are never read.
 pub(crate) type Product = unsafe fn(&[f64], &[f64], usize, usize, usize, &mut [f64]);
 
 /// The three products of one SIMD tier.
@@ -51,6 +52,12 @@ pub(crate) struct Tier {
     pub matmul: Product,
     pub matmul_ta: Product,
     pub matmul_tb: Product,
+}
+
+thread_local! {
+    /// The SIMD `matmul_transpose_b` bodies' copy of `Bᵀ`, kept per thread
+    /// so a training step's backward products allocate nothing.
+    static TRANSPOSED: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// SIMD tier selected once per process from runtime feature detection.
@@ -141,6 +148,7 @@ unsafe fn matmul_scalar(a: &[f64], b: &[f64], m: usize, inner: usize, n: usize, 
 /// adds, the padding rows of a short last panel contributing `0.0 · 0.0`.
 fn matmul_row(a_row: &[f64], b: &[f64], out_row: &mut [f64]) {
     let (inner, n) = (a_row.len(), out_row.len());
+    out_row.fill(0.0);
     let mut k0 = 0;
     while k0 + PANEL <= inner {
         let (a0, a1, a2, a3) = (a_row[k0], a_row[k0 + 1], a_row[k0 + 2], a_row[k0 + 3]);
@@ -180,6 +188,7 @@ unsafe fn matmul_ta_scalar(
 ) {
     run_rowblocks(out, n, p * n * r_dim, |first_row, chunk| {
         for (i, out_row) in chunk.chunks_mut(n).enumerate() {
+            out_row.fill(0.0);
             for r in 0..r_dim {
                 let coeff = a[r * p + first_row + i];
                 let b_row = &b[r * n..(r + 1) * n];
@@ -291,18 +300,24 @@ macro_rules! simd_tier {
         ) {
             // Output columns are rows of B; one O(n·inner) transpose turns
             // each lane's operand into a contiguous load.
-            let bt = transposed(b, n, inner);
-            run_rowblocks(out, n, m * n * inner, |first_row, chunk| {
+            TRANSPOSED.with_borrow_mut(|bt| {
                 // SAFETY: the caller guarantees the CPU feature.
-                unsafe { matmul_tb_rows(&a[first_row * inner..], &bt, inner, n, chunk) }
+                unsafe { transpose_into(b, n, inner, bt) };
+                let bt = &*bt;
+                run_rowblocks(out, n, m * n * inner, |first_row, chunk| {
+                    // SAFETY: the caller guarantees the CPU feature.
+                    unsafe { matmul_tb_rows(&a[first_row * inner..], bt, inner, n, chunk) }
+                });
             });
         }
 
-        /// Transposed copy of a row-major `rows x cols` buffer, moving 4×4
-        /// blocks through 256-bit registers (every AVX-512F CPU has AVX2).
+        /// Writes the transpose of a row-major `rows x cols` buffer into
+        /// `out`, moving 4×4 blocks through 256-bit registers (every
+        /// AVX-512F CPU has AVX2).
         #[target_feature(enable = $feature)]
-        unsafe fn transposed(src: &[f64], rows: usize, cols: usize) -> Vec<f64> {
-            let mut out = vec![0.0; src.len()];
+        unsafe fn transpose_into(src: &[f64], rows: usize, cols: usize, out: &mut Vec<f64>) {
+            out.clear();
+            out.resize(src.len(), 0.0);
             let (s, o) = (src.as_ptr(), out.as_mut_ptr());
             let (rows4, cols4) = (rows - rows % 4, cols - cols % 4);
             for r in (0..rows4).step_by(4) {
@@ -330,7 +345,6 @@ macro_rules! simd_tier {
                     *o.add(c * rows + r) = *s.add(r * cols + c);
                 }
             }
-            out
         }
 
         /// `out = A · B` for the rows of `out`, `a` starting at the first.
@@ -590,7 +604,7 @@ macro_rules! simd_tier {
 /// 256-bit bodies: four `f64` lanes, `maskload`/`maskstore` tails.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{run_rowblocks, COLS, PANEL, ROWS};
+    use super::{run_rowblocks, COLS, PANEL, ROWS, TRANSPOSED};
     use std::arch::x86_64::*;
 
     type V = __m256d;
@@ -659,7 +673,7 @@ mod avx2 {
 /// 512-bit bodies: eight `f64` lanes, mask-register tails.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{run_rowblocks, COLS, PANEL, ROWS};
+    use super::{run_rowblocks, COLS, PANEL, ROWS, TRANSPOSED};
     use std::arch::x86_64::*;
 
     type V = __m512d;
@@ -827,7 +841,8 @@ mod tests {
         (m, k, n): (usize, usize, usize),
     ) -> [Vec<f64>; 3] {
         let run = |f: Product, b: &[f64], d0: usize, d1: usize| {
-            let mut out = vec![0.0; m * n];
+            // Stale contents must never reach the result.
+            let mut out = vec![f64::NAN; m * n];
             // SAFETY: `simd_tiers` checked the CPU features.
             unsafe { f(a, b, d0, d1, n, &mut out) };
             out

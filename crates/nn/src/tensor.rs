@@ -225,7 +225,7 @@ impl Tensor {
 
     /// Elementwise logistic sigmoid `1 / (1 + e^-x)`.
     pub fn sigmoid(&self) -> Tensor {
-        self.map(|x| 1.0 / (1.0 + (-x).exp()))
+        self.map(sigmoid)
     }
 
     /// Elementwise hyperbolic tangent.
@@ -238,16 +238,10 @@ impl Tensor {
         self.map(f64::exp)
     }
 
-    /// Elementwise natural logarithm; callers guarantee positive inputs (see
-    /// `Graph::ln`).
-    pub fn ln(&self) -> Tensor {
-        self.map(f64::ln)
-    }
-
     /// Elementwise leaky ReLU (`x` for positive inputs, `slope * x`
     /// otherwise).
     pub fn leaky_relu(&self, slope: f64) -> Tensor {
-        self.map(|x| if x > 0.0 { x } else { slope * x })
+        self.map(|x| leaky_relu(x, slope))
     }
 
     fn zip(&self, other: &Tensor, op: &str, f: impl Fn(f64, f64) -> f64) -> Tensor {
@@ -372,20 +366,8 @@ impl Tensor {
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul: inner dimensions differ ({} vs {})",
-            self.cols, other.rows
-        );
-        let (m, inner, n) = (self.rows, self.cols, other.cols);
-        let mut out = Tensor::zeros(m, n);
-        if m == 0 || n == 0 || inner == 0 {
-            return out;
-        }
-        // SAFETY: the tier was selected under runtime feature detection.
-        unsafe {
-            (crate::simd64::tier().matmul)(&self.data, &other.data, m, inner, n, &mut out.data)
-        };
+        let mut out = Tensor::default();
+        matmul_into(self, other, &mut out);
         out
     }
 
@@ -400,20 +382,8 @@ impl Tensor {
     ///
     /// Panics if `self.rows() != other.rows()`.
     pub fn matmul_transpose_a(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.rows, other.rows,
-            "matmul_transpose_a: shared row counts differ ({} vs {})",
-            self.rows, other.rows
-        );
-        let (r_dim, p, n) = (self.rows, self.cols, other.cols);
-        let mut out = Tensor::zeros(p, n);
-        if p == 0 || n == 0 || r_dim == 0 {
-            return out;
-        }
-        // SAFETY: the tier was selected under runtime feature detection.
-        unsafe {
-            (crate::simd64::tier().matmul_ta)(&self.data, &other.data, r_dim, p, n, &mut out.data)
-        };
+        let mut out = Tensor::default();
+        matmul_ta_into(self, other, &mut out);
         out
     }
 
@@ -432,20 +402,8 @@ impl Tensor {
     ///
     /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_transpose_b(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transpose_b: inner dimensions differ ({} vs {})",
-            self.cols, other.cols
-        );
-        let (m, inner, n) = (self.rows, self.cols, other.rows);
-        let mut out = Tensor::zeros(m, n);
-        if m == 0 || n == 0 || inner == 0 {
-            return out;
-        }
-        // SAFETY: the tier was selected under runtime feature detection.
-        unsafe {
-            (crate::simd64::tier().matmul_tb)(&self.data, &other.data, m, inner, n, &mut out.data)
-        };
+        let mut out = Tensor::default();
+        matmul_tb_into(self, other, &mut out);
         out
     }
 
@@ -505,13 +463,25 @@ impl Tensor {
 
     /// Sums over rows, producing a `1 x cols` tensor.
     pub fn sum_rows(&self) -> Tensor {
-        let mut out = Tensor::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] += self.data[r * self.cols + c];
+        let mut out = Tensor::default();
+        self.sum_rows_into(&mut out);
+        out
+    }
+
+    /// Like [`Tensor::sum_rows`], writing into `out`'s buffer. One row-wise
+    /// pass: column `c` still starts from `0.0` and adds rows in increasing
+    /// order.
+    pub(crate) fn sum_rows_into(&self, out: &mut Tensor) {
+        out.resize_uninit(1, self.cols);
+        out.data.fill(0.0);
+        if self.cols == 0 {
+            return;
+        }
+        for row in self.data.chunks_exact(self.cols) {
+            for (o, &v) in out.data.iter_mut().zip(row) {
+                *o += v;
             }
         }
-        out
     }
 
     /// Copies columns `[start, end)` into a new tensor.
@@ -584,6 +554,76 @@ impl Tensor {
                 .zip(&other.data)
                 .all(|(&a, &b)| (a - b).abs() <= tol)
     }
+}
+
+/// Logistic sigmoid `1 / (1 + e^-x)`.
+pub(crate) fn sigmoid(x: f64) -> f64 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// Leaky ReLU: `x` for positive inputs, `slope * x` otherwise.
+pub(crate) fn leaky_relu(x: f64, slope: f64) -> f64 {
+    if x > 0.0 {
+        x
+    } else {
+        slope * x
+    }
+}
+
+/// `out = a · b` ([`Tensor::matmul`]), reusing `out`'s buffer.
+pub(crate) fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+    assert_eq!(
+        a.cols, b.rows,
+        "matmul: inner dimensions differ ({} vs {})",
+        a.cols, b.rows
+    );
+    let dims = (a.rows, a.cols, b.cols);
+    let kernel = crate::simd64::tier().matmul;
+    product_into(kernel, &a.data, &b.data, dims, (a.rows, b.cols), out);
+}
+
+/// `out = aᵀ · b` ([`Tensor::matmul_transpose_a`]), reusing `out`'s buffer.
+pub(crate) fn matmul_ta_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+    assert_eq!(
+        a.rows, b.rows,
+        "matmul_transpose_a: shared row counts differ ({} vs {})",
+        a.rows, b.rows
+    );
+    let dims = (a.rows, a.cols, b.cols);
+    let kernel = crate::simd64::tier().matmul_ta;
+    product_into(kernel, &a.data, &b.data, dims, (a.cols, b.cols), out);
+}
+
+/// `out = a · bᵀ` ([`Tensor::matmul_transpose_b`]), reusing `out`'s buffer.
+pub(crate) fn matmul_tb_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+    assert_eq!(
+        a.cols, b.cols,
+        "matmul_transpose_b: inner dimensions differ ({} vs {})",
+        a.cols, b.cols
+    );
+    let dims = (a.rows, a.cols, b.rows);
+    let kernel = crate::simd64::tier().matmul_tb;
+    product_into(kernel, &a.data, &b.data, dims, (a.rows, b.rows), out);
+}
+
+/// Reshapes `out` to `shape` and runs one product kernel into it (see
+/// [`crate::simd64::Product`] for `dims`); an empty inner or outer
+/// dimension gives zeros.
+fn product_into(
+    kernel: crate::simd64::Product,
+    a: &[f64],
+    b: &[f64],
+    (d0, d1, d2): (usize, usize, usize),
+    (rows, cols): (usize, usize),
+    out: &mut Tensor,
+) {
+    out.resize_uninit(rows, cols);
+    if d0 == 0 || d1 == 0 || d2 == 0 {
+        out.data.fill(0.0);
+        return;
+    }
+    // SAFETY: the tier was selected under runtime feature detection.
+    unsafe { kernel(a, b, d0, d1, d2, &mut out.data) };
 }
 
 /// Output rows per parallel work chunk.

@@ -145,7 +145,7 @@ impl EdpGradBatch {
         let g = &mut self.g;
         g.reset();
         let xi = g.leaf(std::mem::replace(&mut self.xs, Tensor::zeros(0, 0)));
-        let li = g.leaf(std::mem::replace(&mut self.layer_rep, Tensor::zeros(0, 0)));
+        let li = g.constant(std::mem::replace(&mut self.layer_rep, Tensor::zeros(0, 0)));
         let joined = g.concat_cols(xi, li);
         let lat = latency.forward(g, joined);
         let en = energy.forward(g, joined);
@@ -293,11 +293,12 @@ impl VaesaModel {
         lat: Tensor,
         en: Tensor,
     ) -> TrainStep {
-        let x = g.leaf(hw);
-        let layer_id = g.leaf(layer);
-        let eps_id = g.leaf(eps);
-        let lat_target = g.leaf(lat);
-        let en_target = g.leaf(en);
+        // Data leaves: nothing reads their gradients, so none is computed.
+        let x = g.constant(hw);
+        let layer_id = g.constant(layer);
+        let eps_id = g.constant(eps);
+        let lat_target = g.constant(lat);
+        let en_target = g.constant(en);
 
         let (mu, log_var, encoder_pass) = self.encode_nodes(g, x);
 
@@ -391,7 +392,7 @@ impl VaesaModel {
         assert_eq!(layer.len(), LAYER_FEATURES, "layer feature count mismatch");
         let mut g = Graph::new();
         let zi = g.leaf(Tensor::row_vector(z));
-        let li = g.leaf(Tensor::row_vector(layer));
+        let li = g.constant(Tensor::row_vector(layer));
         let joined = g.concat_cols(zi, li);
         let lat = self.latency_predictor.forward(&mut g, joined);
         let en = self.energy_predictor.forward(&mut g, joined);

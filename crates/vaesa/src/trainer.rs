@@ -285,9 +285,9 @@ impl InputPredictors {
 
                 g.reset();
                 let take = |b: &mut Tensor| std::mem::replace(b, Tensor::zeros(0, 0));
-                let x = g.leaf(take(&mut joined_buf));
-                let lat_t = g.leaf(take(&mut lat_buf));
-                let en_t = g.leaf(take(&mut en_buf));
+                let x = g.constant(take(&mut joined_buf));
+                let lat_t = g.constant(take(&mut lat_buf));
+                let en_t = g.constant(take(&mut en_buf));
                 let lat_pass = self.latency.forward(&mut g, x);
                 let en_pass = self.energy.forward(&mut g, x);
                 let lat_loss = g.mse(lat_pass.output, lat_t);
@@ -336,7 +336,7 @@ impl InputPredictors {
         assert_eq!(layer.len(), crate::LAYER_FEATURES, "layer feature count");
         let mut g = Graph::new();
         let x = g.leaf(Tensor::row_vector(hw));
-        let l = g.leaf(Tensor::row_vector(layer));
+        let l = g.constant(Tensor::row_vector(layer));
         let joined = g.concat_cols(x, l);
         let lat = self.latency.forward(&mut g, joined);
         let en = self.energy.forward(&mut g, joined);
