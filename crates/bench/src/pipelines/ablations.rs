@@ -329,8 +329,8 @@ pub(super) fn build_finetune(env: &Arc<PipelineEnv>) -> Result<FlowGraph, String
                                 config,
                                 hw_raw,
                                 layer_raw: layer.features(),
-                                latency: sched.evaluation.latency_cycles,
-                                energy: sched.evaluation.energy_pj,
+                                latency: sched.latency_cycles,
+                                energy: sched.energy_pj,
                             });
                         }
                     }
@@ -607,7 +607,7 @@ pub(super) fn build_scheduler(env: &Arc<PipelineEnv>) -> Result<FlowGraph, Strin
                             logs[1].push(best_random.ln());
                         }
 
-                        logs[2].push(greedy.layers[li].evaluation.edp().ln());
+                        logs[2].push(greedy.layers[li].edp().ln());
                     }
                 }
 

@@ -42,7 +42,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, PoisonError};
 use vaesa_accel::{ArchDescription, LayerShape};
 use vaesa_timeloop::{CostModel, Evaluation, Mapping, PreparedModel};
 
@@ -55,14 +55,44 @@ pub struct Scheduled {
     pub evaluation: Evaluation,
 }
 
-/// Whole-workload cost: per-layer evaluations plus workload totals.
+impl Scheduled {
+    /// The two numbers this result contributes to a workload score.
+    pub fn cost(&self) -> LayerCost {
+        LayerCost {
+            latency_cycles: self.evaluation.latency_cycles,
+            energy_pj: self.evaluation.energy_pj,
+        }
+    }
+}
+
+/// What a scheduled layer contributes to a workload score: its latency and
+/// energy, the only outputs of Timeloop the paper consumes. This is all a
+/// [`CachedScheduler`] keeps per entry; [`Scheduler::schedule`] still
+/// returns the full mapping for callers that want it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LayerCost {
+    /// Execution latency in cycles.
+    pub latency_cycles: f64,
+    /// Energy in pJ.
+    pub energy_pj: f64,
+}
+
+impl LayerCost {
+    /// Energy-delay product, bit-identical to [`Evaluation::edp`] of the
+    /// evaluation it came from.
+    pub fn edp(&self) -> f64 {
+        self.latency_cycles * self.energy_pj
+    }
+}
+
+/// Whole-workload cost: per-layer costs plus workload totals.
 ///
 /// The paper evaluates a DNN by summing per-layer latency and energy and
 /// optimizing the product (EDP) of the sums.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadEval {
-    /// Per-layer scheduling results, in input order.
-    pub layers: Vec<Scheduled>,
+    /// Per-layer costs, in input order.
+    pub layers: Vec<LayerCost>,
     /// Sum of per-layer latencies, in cycles.
     pub total_latency_cycles: f64,
     /// Sum of per-layer energies, in pJ.
@@ -105,6 +135,27 @@ fn no_valid_mapping(layer: &LayerShape) -> ScheduleError {
     ScheduleError::NoValidMapping {
         layer: layer.name().to_string(),
     }
+}
+
+/// Collects per-layer costs, summing latency and energy in layer order and
+/// stopping at the first layer with no valid mapping.
+fn workload_eval(
+    costs: impl ExactSizeIterator<Item = Result<LayerCost, ScheduleError>>,
+) -> Result<WorkloadEval, ScheduleError> {
+    let mut out = Vec::with_capacity(costs.len());
+    let mut total_latency = 0.0;
+    let mut total_energy = 0.0;
+    for cost in costs {
+        let c = cost?;
+        total_latency += c.latency_cycles;
+        total_energy += c.energy_pj;
+        out.push(c);
+    }
+    Ok(WorkloadEval {
+        layers: out,
+        total_latency_cycles: total_latency,
+        total_energy_pj: total_energy,
+    })
 }
 
 /// The one-shot scheduler.
@@ -269,20 +320,11 @@ impl Scheduler {
         arch: &ArchDescription,
         layers: &[LayerShape],
     ) -> Result<WorkloadEval, ScheduleError> {
-        let mut out = Vec::with_capacity(layers.len());
-        let mut total_latency = 0.0;
-        let mut total_energy = 0.0;
-        for layer in layers {
-            let s = self.schedule(arch, layer)?;
-            total_latency += s.evaluation.latency_cycles;
-            total_energy += s.evaluation.energy_pj;
-            out.push(s);
-        }
-        Ok(WorkloadEval {
-            layers: out,
-            total_latency_cycles: total_latency,
-            total_energy_pj: total_energy,
-        })
+        workload_eval(
+            layers
+                .iter()
+                .map(|layer| self.schedule(arch, layer).map(|s| s.cost())),
+        )
     }
 
     /// Returns `mapping` with `factor` doubled (capped at its dimension), or
@@ -324,6 +366,10 @@ impl Scheduler {
 /// The identity a scheduling result is cached (and persisted) under.
 pub type CacheKey = (ArchDescription, LayerShape);
 
+/// A [`CacheKey`] inside the memo table: the layer is replaced by its id in
+/// the table's [`LayerInterner`], so a key is plain data.
+type MemoKey = (ArchDescription, u32);
+
 /// Where a memoized entry stands relative to the persistent log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Backing {
@@ -338,18 +384,52 @@ enum Backing {
 /// One memoized scheduling result plus its second-chance reference bit.
 #[derive(Debug)]
 struct CacheEntry {
-    result: Result<Scheduled, ScheduleError>,
+    /// The cost, or `None` for a cached "no valid mapping".
+    cost: Option<LayerCost>,
     referenced: bool,
     backing: Backing,
 }
 
-/// The mutable cache interior: the memo map plus the eviction clock queue
-/// (keys in insertion/recycle order). Both live under one mutex so they can
-/// never disagree.
+// One table slot is 88 bytes on 64-bit targets; keep entries from growing
+// back towards a full `Scheduled`.
+const _: () = assert!(std::mem::size_of::<(MemoKey, CacheEntry)>() <= 96);
+
+/// Maps each distinct layer (name included) to a small id and back. Layer
+/// sets are small — tens of layers per network — so ids are never freed.
+#[derive(Debug, Default)]
+struct LayerInterner {
+    ids: HashMap<LayerShape, u32>,
+    layers: Vec<LayerShape>,
+}
+
+impl LayerInterner {
+    fn intern(&mut self, layer: &LayerShape) -> u32 {
+        if let Some(&id) = self.ids.get(layer) {
+            return id;
+        }
+        let id = u32::try_from(self.layers.len()).expect("fewer than 2^32 distinct layers");
+        self.ids.insert(layer.clone(), id);
+        self.layers.push(layer.clone());
+        id
+    }
+
+    fn layer(&self, id: u32) -> &LayerShape {
+        &self.layers[id as usize]
+    }
+}
+
+/// The mutable cache interior: the memo map, the eviction clock queue (keys
+/// in insertion/recycle order), the layer interner, and the keys being
+/// scheduled right now. All live under one mutex so they can never
+/// disagree.
 #[derive(Debug, Default)]
 struct CacheState {
-    map: HashMap<CacheKey, CacheEntry>,
-    queue: VecDeque<CacheKey>,
+    map: HashMap<MemoKey, CacheEntry>,
+    queue: VecDeque<MemoKey>,
+    layers: LayerInterner,
+    /// Keys a caller is scheduling outside the lock, each with whether
+    /// another caller waits for it.
+    in_flight: HashMap<MemoKey, bool>,
 }
 
 /// A scheduler with a bounded memoization cache keyed by `(arch, layer)`.
@@ -357,7 +437,11 @@ struct CacheState {
 /// Design-space exploration evaluates the same layer on thousands of
 /// architectures and frequently revisits architectures (e.g. when BO
 /// re-samples a rounded design point); the cache makes repeats free.
-/// Thread-safe via an internal mutex.
+/// Thread-safe via an internal mutex; each key is scheduled once, however
+/// many callers miss it at the same time.
+///
+/// Entries hold only the [`LayerCost`] callers read back; use
+/// [`Scheduler::schedule`] for the mapping itself.
 ///
 /// The cache holds at most [`CachedScheduler::DEFAULT_CAPACITY`] entries
 /// (configurable via [`CachedScheduler::with_capacity`]) and evicts with a
@@ -370,6 +454,8 @@ pub struct CachedScheduler {
     inner: Scheduler,
     capacity: usize,
     state: Mutex<CacheState>,
+    /// Signalled when an in-flight key with waiters lands or is abandoned.
+    landed: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -377,6 +463,26 @@ pub struct CachedScheduler {
     persistent_hits: AtomicU64,
     persistent_warm_hits: AtomicU64,
     flush_on_evict: AtomicU64,
+}
+
+/// Clears a key's in-flight mark if scheduling it unwinds, so callers
+/// waiting on the key recompute it instead of waiting forever.
+struct InFlight<'a> {
+    cache: &'a CachedScheduler,
+    key: MemoKey,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let mut state = self
+            .cache
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if state.in_flight.remove(&self.key) == Some(true) {
+            self.cache.landed.notify_all();
+        }
+    }
 }
 
 impl Default for CachedScheduler {
@@ -461,8 +567,11 @@ impl std::fmt::Display for PersistStats {
 }
 
 impl CachedScheduler {
-    /// Default cache bound: large enough that even the full-scale figure
-    /// runs rarely evict, small enough to cap memory on long campaigns.
+    /// Default cache bound: large enough that every `--fast` pipeline and
+    /// perfbench workload runs without evicting, small enough to cap memory
+    /// on long campaigns (at 88 bytes a slot, a full table is under 100 MB).
+    /// Default-scale Fig. 11 overflows it (268,224 misses, 6,080
+    /// evictions) and still keeps the 66 hits of its re-score step.
     pub const DEFAULT_CAPACITY: usize = 1 << 18;
 
     /// Wraps a scheduler with an empty cache of
@@ -483,6 +592,7 @@ impl CachedScheduler {
             inner,
             capacity,
             state: Mutex::new(CacheState::default()),
+            landed: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -513,12 +623,14 @@ impl CachedScheduler {
         let (log, entries) = EvalCacheLog::open(dir)?;
         {
             let state = cache.state.get_mut().expect("cache lock");
-            for (key, result) in entries.into_iter().take(capacity) {
-                state.queue.push_back(key.clone());
+            // Each full logged result shrinks to its cost as it loads.
+            for ((arch, layer), result) in entries.into_iter().take(capacity) {
+                let key = (arch, state.layers.intern(&layer));
+                state.queue.push_back(key);
                 state.map.insert(
                     key,
                     CacheEntry {
-                        result,
+                        cost: result.ok().map(|s| s.cost()),
                         referenced: false,
                         backing: Backing::Warm,
                     },
@@ -562,7 +674,13 @@ impl CachedScheduler {
         self.persist.as_ref().map(|log| log.dir())
     }
 
-    /// Cached version of [`Scheduler::schedule`].
+    /// Cached version of [`Scheduler::schedule`], returning the layer's
+    /// [`LayerCost`]. A lookup allocates nothing unless it meets a layer
+    /// for the first time, misses with persistence attached (the log
+    /// records the full result), or returns an error.
+    ///
+    /// When several callers miss the same key at once, one schedules it and
+    /// the others wait for its entry and count as hits.
     ///
     /// # Errors
     ///
@@ -571,10 +689,10 @@ impl CachedScheduler {
         &self,
         arch: &ArchDescription,
         layer: &LayerShape,
-    ) -> Result<Scheduled, ScheduleError> {
-        let key = (*arch, layer.clone());
-        {
-            let mut state = self.state.lock().expect("cache lock");
+    ) -> Result<LayerCost, ScheduleError> {
+        let mut state = self.state.lock().expect("cache lock");
+        let key = (*arch, state.layers.intern(layer));
+        loop {
             if let Some(entry) = state.map.get_mut(&key) {
                 entry.referenced = true;
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -588,59 +706,72 @@ impl CachedScheduler {
                         self.persistent_warm_hits.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                return entry.result.clone();
+                return entry.cost.ok_or_else(|| no_valid_mapping(layer));
+            }
+            match state.in_flight.get_mut(&key) {
+                Some(waited) => {
+                    *waited = true;
+                    state = self.landed.wait(state).expect("cache lock");
+                }
+                None => break,
             }
         }
+        state.in_flight.insert(key, false);
+        drop(state);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // Compute outside the lock so concurrent misses schedule in parallel.
+        let flight = InFlight { cache: self, key };
+        // Compute outside the lock so misses on distinct keys schedule in
+        // parallel.
         let result = self.inner.schedule(arch, layer);
         let mut state = self.state.lock().expect("cache lock");
-        // A concurrent miss on the same key may have inserted first; skip the
-        // insert then, or the queue would carry a duplicate key. (The loser
-        // also skips the log append — the winner already recorded the key.)
-        if !state.map.contains_key(&key) {
-            let backing = match &self.persist {
-                Some(log) => {
-                    log.append(&key, &result);
-                    Backing::Logged
-                }
-                None => Backing::None,
-            };
-            while state.map.len() >= self.capacity {
-                let victim = state.queue.pop_front().expect("queue tracks map");
-                let recycled = {
-                    let entry = state.map.get_mut(&victim).expect("queued keys are mapped");
-                    let hit_since = entry.referenced;
-                    entry.referenced = false;
-                    hit_since
-                };
-                if recycled {
-                    state.queue.push_back(victim);
-                } else {
-                    // A dirty victim (appended to the log but not yet
-                    // fsynced) must reach disk before the memo table forgets
-                    // it, or a crash after eviction would lose the result.
-                    if let Some(log) = &self.persist {
-                        let logged = state.map.get(&victim).expect("queued keys are mapped");
-                        if logged.backing == Backing::Logged && log.flush_key(&victim) {
-                            self.flush_on_evict.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    state.map.remove(&victim);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
+        let backing = match &self.persist {
+            Some(log) => {
+                log.append(&(*arch, layer.clone()), &result);
+                Backing::Logged
             }
-            state.queue.push_back(key.clone());
-            state.map.insert(
-                key,
-                CacheEntry {
-                    result: result.clone(),
-                    referenced: false,
-                    backing,
-                },
-            );
+            None => Backing::None,
+        };
+        while state.map.len() >= self.capacity {
+            let victim = state.queue.pop_front().expect("queue tracks map");
+            let recycled = {
+                let entry = state.map.get_mut(&victim).expect("queued keys are mapped");
+                let hit_since = entry.referenced;
+                entry.referenced = false;
+                hit_since
+            };
+            if recycled {
+                state.queue.push_back(victim);
+            } else {
+                // A dirty victim (appended to the log but not yet fsynced)
+                // must reach disk before the memo table forgets it, or a
+                // crash after eviction would lose the result.
+                if let Some(log) = &self.persist {
+                    let logged = state.map.get(&victim).expect("queued keys are mapped");
+                    if logged.backing == Backing::Logged
+                        && log.flush_key(&(victim.0, state.layers.layer(victim.1).clone()))
+                    {
+                        self.flush_on_evict.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                state.map.remove(&victim);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        result
+        let cost = result.map(|s| s.cost());
+        state.queue.push_back(key);
+        let previous = state.map.insert(
+            key,
+            CacheEntry {
+                cost: cost.as_ref().ok().copied(),
+                referenced: false,
+                backing,
+            },
+        );
+        debug_assert!(previous.is_none(), "only the in-flight caller inserts");
+        drop(state);
+        // Clears the in-flight mark and wakes any waiter, which now hits.
+        drop(flight);
+        cost
     }
 
     /// Cached version of [`Scheduler::schedule_workload`].
@@ -653,20 +784,7 @@ impl CachedScheduler {
         arch: &ArchDescription,
         layers: &[LayerShape],
     ) -> Result<WorkloadEval, ScheduleError> {
-        let mut out = Vec::with_capacity(layers.len());
-        let mut total_latency = 0.0;
-        let mut total_energy = 0.0;
-        for layer in layers {
-            let s = self.schedule(arch, layer)?;
-            total_latency += s.evaluation.latency_cycles;
-            total_energy += s.evaluation.energy_pj;
-            out.push(s);
-        }
-        Ok(WorkloadEval {
-            layers: out,
-            total_latency_cycles: total_latency,
-            total_energy_pj: total_energy,
-        })
+        workload_eval(layers.iter().map(|layer| self.schedule(arch, layer)))
     }
 
     /// Number of distinct `(arch, layer)` pairs cached.
@@ -719,9 +837,12 @@ impl CachedScheduler {
     ///
     /// Intended to be called once at the end of a run (the experiment
     /// harness uses prefix `scheduler`); nothing in the lookup path touches
-    /// the registry. Note the counts are *not* thread-count-invariant:
-    /// concurrent misses on one key may both run the scheduler, so the
-    /// determinism gate excludes `scheduler.`-prefixed metrics.
+    /// the registry. Each key is scheduled once, so whenever nothing is
+    /// evicted the counts are exact at any thread count: misses equal the
+    /// distinct keys looked up and hits the remaining lookups. Which entries
+    /// an eviction removes depends on lookup order, so runs that evict may
+    /// still count differently across thread counts, and the determinism
+    /// gate excludes `scheduler.`-prefixed metrics.
     pub fn publish_stats(&self, registry: &vaesa_obs::Registry, prefix: &str) {
         let stats = self.cache_stats();
         registry
@@ -855,23 +976,158 @@ mod tests {
         let layers = vec![conv(), LayerShape::fully_connected("fc", 512, 256)];
         let w = s.schedule_workload(&arch(), &layers).unwrap();
         assert_eq!(w.layers.len(), 2);
-        let lat: f64 = w.layers.iter().map(|l| l.evaluation.latency_cycles).sum();
-        let en: f64 = w.layers.iter().map(|l| l.evaluation.energy_pj).sum();
+        let lat: f64 = w.layers.iter().map(|l| l.latency_cycles).sum();
+        let en: f64 = w.layers.iter().map(|l| l.energy_pj).sum();
         assert!((w.total_latency_cycles - lat).abs() < 1e-9);
         assert!((w.total_energy_pj - en).abs() < 1e-9);
         assert!((w.edp() - lat * en).abs() < 1e-3 * w.edp());
+    }
+
+    fn bits(cost: &LayerCost) -> (u64, u64) {
+        (cost.latency_cycles.to_bits(), cost.energy_pj.to_bits())
     }
 
     #[test]
     fn cached_scheduler_matches_uncached_and_caches() {
         let plain = Scheduler::default();
         let cached = CachedScheduler::default();
-        let want = plain.schedule(&arch(), &conv()).unwrap();
+        let want = plain.schedule(&arch(), &conv()).unwrap().cost();
         let got1 = cached.schedule(&arch(), &conv()).unwrap();
         let got2 = cached.schedule(&arch(), &conv()).unwrap();
-        assert_eq!(want.mapping, got1.mapping);
-        assert_eq!(got1.mapping, got2.mapping);
+        assert_eq!(bits(&want), bits(&got1));
+        assert_eq!(bits(&got1), bits(&got2));
         assert_eq!(cached.cache_len(), 1);
+    }
+
+    #[test]
+    fn cached_errors_carry_the_callers_layer_name() {
+        let mut a = arch();
+        a.global_buf_bytes = 16;
+        let alex1 = LayerShape::new("conv1", 11, 11, 55, 55, 3, 64, 4, 4);
+        let cached = CachedScheduler::default();
+        let want = Scheduler::default().schedule(&a, &alex1).unwrap_err();
+        assert_eq!(cached.schedule(&a, &alex1).unwrap_err(), want); // miss
+        assert_eq!(cached.schedule(&a, &alex1).unwrap_err(), want); // hit
+        assert_eq!(cached.cache_stats().hits, 1);
+    }
+
+    #[test]
+    fn layers_differing_only_in_name_are_distinct_keys() {
+        let cached = CachedScheduler::default();
+        let a = LayerShape::fully_connected("a", 128, 64);
+        let b = LayerShape::fully_connected("b", 128, 64);
+        let (ca, cb) = (
+            cached.schedule(&arch(), &a).unwrap(),
+            cached.schedule(&arch(), &b).unwrap(),
+        );
+        assert_eq!(bits(&ca), bits(&cb));
+        assert_eq!((cached.cache_stats().misses, cached.cache_len()), (2, 2));
+    }
+
+    /// Two callers that miss one key at the same moment schedule it once:
+    /// the second waits for the first's entry and counts as a hit. Eight
+    /// keys, so that the two lookups overlap on some of them.
+    #[test]
+    fn concurrent_misses_on_one_key_schedule_it_once() {
+        use std::sync::Barrier;
+        let cached = CachedScheduler::default();
+        for k in 1..=8 {
+            let layer = LayerShape::new("conv", 3, 3, 28, 28, 64, 16 * k, 1, 1);
+            let barrier = Barrier::new(2);
+            let costs: Vec<LayerCost> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            cached.schedule(&arch(), &layer).unwrap()
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            assert_eq!(bits(&costs[0]), bits(&costs[1]));
+        }
+        let stats = cached.cache_stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (8, 8, 8));
+    }
+
+    /// Marks `conv()` on `arch()` in flight as if another caller were
+    /// scheduling it, looks the key up on a second thread, and once that
+    /// thread is parked on the key (or has returned without waiting) runs
+    /// `finish`, which must release it. Returns the lookup's result.
+    fn with_parked_waiter(cached: &CachedScheduler, finish: impl FnOnce(MemoKey)) -> LayerCost {
+        let key = {
+            let mut state = cached.state.lock().unwrap();
+            let key = (arch(), state.layers.intern(&conv()));
+            state.in_flight.insert(key, false);
+            key
+        };
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| cached.schedule(&arch(), &conv()).unwrap());
+            while !waiter.is_finished()
+                && cached.state.lock().unwrap().in_flight.get(&key) != Some(&true)
+            {
+                std::thread::yield_now();
+            }
+            finish(key);
+            waiter.join().unwrap()
+        })
+    }
+
+    /// A caller parked on an in-flight key reads the entry it lands and
+    /// counts as a hit.
+    #[test]
+    fn a_waiter_hits_when_the_in_flight_key_lands() {
+        let cached = CachedScheduler::default();
+        let want = Scheduler::default()
+            .schedule(&arch(), &conv())
+            .unwrap()
+            .cost();
+        let got = with_parked_waiter(&cached, |key| {
+            let flight = InFlight {
+                cache: &cached,
+                key,
+            };
+            let mut state = cached.state.lock().unwrap();
+            state.queue.push_back(key);
+            state.map.insert(
+                key,
+                CacheEntry {
+                    cost: Some(want),
+                    referenced: false,
+                    backing: Backing::None,
+                },
+            );
+            drop(state);
+            drop(flight);
+        });
+        assert_eq!(bits(&got), bits(&want));
+        let stats = cached.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 0));
+    }
+
+    /// A caller parked on a key whose scheduling unwinds is woken and
+    /// schedules the key itself.
+    #[test]
+    fn an_unwinding_miss_releases_its_waiters() {
+        let cached = CachedScheduler::default();
+        let got = with_parked_waiter(&cached, |key| {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _flight = InFlight {
+                    cache: &cached,
+                    key,
+                };
+                panic!("scheduling failed");
+            }));
+            assert!(unwound.is_err());
+        });
+        let want = Scheduler::default()
+            .schedule(&arch(), &conv())
+            .unwrap()
+            .cost();
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(cached.cache_stats().misses, 1);
+        assert!(cached.state.lock().unwrap().in_flight.is_empty());
     }
 
     #[test]
@@ -966,8 +1222,7 @@ mod tests {
         let first = capacity_one.schedule(&arch(), &a).unwrap();
         capacity_one.schedule(&arch(), &b).unwrap(); // evicts `a`
         let again = capacity_one.schedule(&arch(), &a).unwrap(); // recompute
-        assert_eq!(first.mapping, again.mapping);
-        assert_eq!(first.evaluation.edp(), again.evaluation.edp());
+        assert_eq!(bits(&first), bits(&again));
         assert_eq!(capacity_one.cache_stats().evictions, 2);
     }
 
@@ -1038,6 +1293,49 @@ mod tests {
             before,
             "evicted entry came back warm"
         );
+        drop(cached);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log holds full `Scheduled` results (mapping and evaluation). The
+    /// fixture's result record was logged by `vaesa-cli eval` when the memo
+    /// still kept whole results, and its "no valid mapping" record is in
+    /// the same format. Both load warm as costs and hit with the bits a
+    /// fresh schedule gives.
+    #[test]
+    fn a_log_of_full_results_loads_warm_as_costs() {
+        let dir = cache_dir("fullrecords");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("shard-00.jsonl"),
+            include_str!("../tests/data/full_scheduled.jsonl"),
+        )
+        .unwrap();
+        let cached = CachedScheduler::with_persistence(Scheduler::default(), 64, &dir).unwrap();
+        assert_eq!(cached.cache_len(), 2);
+
+        let plain = Scheduler::default();
+        let mut a = ArchDescription {
+            pe_count: 64,
+            macs_per_pe: 768,
+            accum_buf_bytes: 11520,
+            weight_buf_bytes: 93696,
+            input_buf_bytes: 91264,
+            global_buf_bytes: 129814,
+        };
+        let conv5 = LayerShape::new("conv5", 3, 3, 13, 13, 256, 256, 1, 1);
+        let want = plain.schedule(&a, &conv5).unwrap().cost();
+        assert_eq!(bits(&cached.schedule(&a, &conv5).unwrap()), bits(&want));
+        a.global_buf_bytes = 16;
+        let conv1 = LayerShape::new("conv1", 11, 11, 55, 55, 3, 64, 4, 4);
+        assert_eq!(
+            cached.schedule(&a, &conv1).unwrap_err(),
+            plain.schedule(&a, &conv1).unwrap_err()
+        );
+
+        let stats = cached.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 0));
+        assert_eq!(cached.persist_stats().unwrap().warm_hits, 2);
         drop(cached);
         std::fs::remove_dir_all(&dir).unwrap();
     }

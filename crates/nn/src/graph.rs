@@ -8,7 +8,7 @@ use crate::{Activation, Tensor};
 /// next [`Graph::reset`]; using a stale id or one from a different graph is
 /// a logic error (caught by bounds assertions where the tape is shorter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct VarId(usize);
+pub struct VarId(pub(crate) usize);
 
 /// The primitive differentiable operations supported by the tape.
 #[derive(Debug, Clone, Copy, Default)]

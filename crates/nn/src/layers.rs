@@ -146,14 +146,32 @@ pub struct Mlp {
     output_activation: Activation,
 }
 
-/// The result of an [`Mlp::forward`] pass: the output node plus the graph
-/// ids of every parameter leaf, used to route gradients back into the model.
-#[derive(Debug, Clone)]
+/// The result of an [`Mlp::forward`] pass: the output node plus where its
+/// parameter leaves sit on the tape, used to route gradients back into the
+/// model. Plain data, so a training step records its passes without
+/// allocating.
+#[derive(Debug, Clone, Copy)]
 pub struct MlpPass {
     /// Graph node holding the MLP output.
     pub output: VarId,
+    /// The first layer's weight node. Each layer records three consecutive
+    /// nodes — weight, bias, output — so the rest follow from it.
+    first_weight: VarId,
+    depth: usize,
+}
+
+impl MlpPass {
+    /// Nodes each layer records on the tape ([`Linear::forward`]).
+    const NODES_PER_LAYER: usize = 3;
+
     /// `(weight id, bias id)` per layer, in layer order.
-    pub param_ids: Vec<(VarId, VarId)>,
+    pub fn param_ids(&self) -> impl Iterator<Item = (VarId, VarId)> {
+        let first = self.first_weight.0;
+        (0..self.depth).map(move |i| {
+            let w = first + i * Self::NODES_PER_LAYER;
+            (VarId(w), VarId(w + 1))
+        })
+    }
 }
 
 impl Mlp {
@@ -209,7 +227,7 @@ impl Mlp {
     /// Runs the MLP on graph node `x`.
     pub fn forward(&self, g: &mut Graph, x: VarId) -> MlpPass {
         let mut h = x;
-        let mut param_ids = Vec::with_capacity(self.layers.len());
+        let mut first_weight = None;
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
             let act = if i == last {
@@ -218,12 +236,18 @@ impl Mlp {
                 self.hidden_activation
             };
             let (out, w, b) = layer.forward(g, h, act);
-            param_ids.push((w, b));
+            let first = first_weight.get_or_insert(w).0 + i * MlpPass::NODES_PER_LAYER;
+            assert_eq!(
+                (w.0, b.0),
+                (first, first + 1),
+                "each layer records (weight, bias, output) consecutively"
+            );
             h = out;
         }
         MlpPass {
             output: h,
-            param_ids,
+            first_weight: first_weight.expect("mlp has layers"),
+            depth: self.layers.len(),
         }
     }
 
@@ -234,11 +258,11 @@ impl Mlp {
     /// (e.g. when the loss does not depend on this MLP) are left untouched.
     pub fn accumulate_grads(&mut self, g: &Graph, pass: &MlpPass) {
         assert_eq!(
-            pass.param_ids.len(),
+            pass.depth,
             self.layers.len(),
             "pass does not match this MLP"
         );
-        for (layer, &(wid, bid)) in self.layers.iter_mut().zip(&pass.param_ids) {
+        for (layer, (wid, bid)) in self.layers.iter_mut().zip(pass.param_ids()) {
             if let Some(gw) = g.grad(wid) {
                 layer.weight.grad.add_assign(gw);
             }

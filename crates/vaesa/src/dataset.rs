@@ -282,8 +282,8 @@ impl<'a> DatasetBuilder<'a> {
                     config: *config,
                     hw_raw: self.space.raw_features(config),
                     layer_raw: layer.features(),
-                    latency: s.evaluation.latency_cycles,
-                    energy: s.evaluation.energy_pj,
+                    latency: s.latency_cycles,
+                    energy: s.energy_pj,
                 });
             }
         }

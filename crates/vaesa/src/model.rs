@@ -532,9 +532,8 @@ mod tests {
             &step.energy_pass,
         ] {
             let touched = pass
-                .param_ids
-                .iter()
-                .any(|&(w, b)| g.grad(w).is_some() || g.grad(b).is_some());
+                .param_ids()
+                .any(|(w, b)| g.grad(w).is_some() || g.grad(b).is_some());
             assert!(touched, "a network received no gradient");
         }
     }

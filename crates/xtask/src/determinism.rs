@@ -13,9 +13,10 @@ use std::path::Path;
 /// identical across `VAESA_THREADS` settings.
 ///
 /// Scheduler cache metrics (`scheduler.*`) are deliberately absent:
-/// concurrent misses on the same key may double-compute, so hit/miss
-/// totals vary with thread count even though every *returned value* is
-/// bit-identical. Histograms and spans carry timings and are never
+/// misses are single-flight, so hit/miss totals are exact while nothing is
+/// evicted, but which entries an eviction removes depends on lookup order,
+/// so a run that evicts can count differently across thread counts even
+/// though every *returned value* is bit-identical. Histograms and spans carry timings and are never
 /// compared; events carry formatted progress text (including cache-stats
 /// strings) and are skipped for the same reason.
 pub const DETERMINISTIC_PREFIXES: &[&str] = &["dse.", "train.", "accel.", "nn.", "plot."];

@@ -9,6 +9,10 @@
 //! append one JSON line per benchmark — the repo's `BENCH_*.json`
 //! baselines are produced that way. `VAESA_BENCH_MS` overrides the
 //! per-benchmark measurement budget (milliseconds).
+//!
+//! As in criterion, the first positional argument filters benchmarks by
+//! substring: `cargo bench --bench nn_training -- nn/train_loop_step_b64`
+//! runs only the ids containing it, and the others neither run nor print.
 
 use std::time::{Duration, Instant};
 
@@ -132,11 +136,26 @@ impl Bencher {
 
 /// The benchmark registry/driver (shim of `criterion::Criterion`).
 #[derive(Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    /// Only ids containing this substring run.
+    filter: Option<String>,
+}
 
 impl Criterion {
-    /// Runs one named benchmark and reports its median ns/iter.
+    /// A driver configured from the bench binary's arguments (without the
+    /// program name): the first one not starting with `-` is the id filter.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+        Criterion {
+            filter: args.into_iter().find(|a| !a.starts_with('-')),
+        }
+    }
+
+    /// Runs one named benchmark and reports its median ns/iter; skipped
+    /// silently when `id` does not match the filter.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
+        if self.filter.as_ref().is_some_and(|want| !id.contains(want.as_str())) {
+            return self;
+        }
         let mut bencher = Bencher { median_ns: f64::NAN };
         f(&mut bencher);
         let ns = bencher.median_ns;
@@ -182,7 +201,7 @@ fn upsert_json_line(path: &str, id: &str, ns: f64) {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::from_args(std::env::args().skip(1));
             $( $target(&mut criterion); )+
         }
     };
@@ -194,7 +213,8 @@ macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             // Match criterion's CLI loosely: `--bench` etc. are accepted
-            // and ignored; `--list` prints nothing and exits.
+            // and ignored, `--list` prints nothing and exits, and the first
+            // positional argument filters ids (see `Criterion::from_args`).
             if std::env::args().any(|a| a == "--list") {
                 return;
             }
@@ -241,6 +261,29 @@ mod tests {
             1
         );
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn positional_filter_runs_only_matching_ids() {
+        std::env::set_var("VAESA_BENCH_MS", "10");
+        let args = ["--bench", "train_loop", "ignored"].map(String::from);
+        let mut c = Criterion::from_args(args);
+        let mut ran = Vec::new();
+        for id in ["nn/train_loop_step_b64", "nn/matmul_naive_256"] {
+            c.bench_function(id, |b| {
+                ran.push(id);
+                b.iter(|| 1u64);
+            });
+        }
+        assert_eq!(ran, ["nn/train_loop_step_b64"]);
+        // No positional argument: every id runs.
+        let mut c = Criterion::from_args(["--bench".to_string()]);
+        let mut count = 0;
+        c.bench_function("any/id", |b| {
+            count += 1;
+            b.iter(|| 1u64);
+        });
+        assert_eq!(count, 1);
     }
 
     #[test]

@@ -115,8 +115,8 @@ proptest! {
         let scheduler = Scheduler::default();
         let layers = &workloads::alexnet()[..3];
         if let Ok(w) = scheduler.schedule_workload(&arch, layers) {
-            let lat: f64 = w.layers.iter().map(|l| l.evaluation.latency_cycles).sum();
-            let en: f64 = w.layers.iter().map(|l| l.evaluation.energy_pj).sum();
+            let lat: f64 = w.layers.iter().map(|l| l.latency_cycles).sum();
+            let en: f64 = w.layers.iter().map(|l| l.energy_pj).sum();
             prop_assert!((w.edp() - lat * en).abs() <= 1e-9 * w.edp());
         }
     }
