@@ -33,7 +33,7 @@
 mod mapper;
 mod persist;
 
-pub use mapper::{random_mapping, IterativeMapper, MapperConfig};
+pub use mapper::random_mapping;
 pub use persist::EvalCacheLog;
 
 use serde::{Deserialize, Serialize};

@@ -1,7 +1,6 @@
 #![deny(missing_docs)]
 //! Search algorithms for hardware design-space exploration: random search,
-//! grid search, Gaussian-process Bayesian optimization, and a gradient-
-//! descent driver.
+//! Gaussian-process Bayesian optimization, and a gradient-descent driver.
 //!
 //! These are the search strategies the VAESA paper runs both on the original
 //! design space (`bo`, `random`, `gd` baselines) and on the learned latent
@@ -11,7 +10,7 @@
 //! - [`Objective`] / [`DifferentiableObjective`]: black-box and
 //!   gradient-capable objectives (invalid design points return `None` and
 //!   consume budget).
-//! - [`RandomSearch`], [`GridSearch`]: baselines and dataset seeding.
+//! - [`RandomSearch`]: the `random` baseline.
 //! - [`GpRegressor`] + [`BayesOpt`]: Matérn-5/2 Gaussian process with
 //!   incremental Cholesky updates and an expected-improvement acquisition.
 //! - [`EvolutionarySearch`]: a tournament-selection genetic baseline (the
@@ -49,7 +48,6 @@ mod engine;
 mod evolutionary;
 mod gp;
 mod gradient;
-mod kernel;
 pub mod normal;
 mod objective;
 mod random;
@@ -65,11 +63,10 @@ pub use engine::{
 pub use evolutionary::{EvolutionConfig, EvolutionarySearch};
 pub use gp::GpRegressor;
 pub use gradient::{GdConfig, GdPath, GdStep, GradientDescent};
-pub use kernel::{ArdKernel, Kernel, KernelKind};
 pub use objective::{
     BatchDifferentiableObjective, DifferentiableObjective, FnBatchDifferentiable, FnDifferentiable,
     FnObjective, Objective,
 };
-pub use random::{perturb, GridSearch, RandomSearch};
+pub use random::{perturb, RandomSearch};
 pub use space::BoxSpace;
 pub use trace::{record_trace, Sample, Trace};

@@ -45,48 +45,6 @@ impl RandomSearch {
     }
 }
 
-/// Exhaustive evaluation of an even grid — the brute-force component of the
-/// heuristic approaches in Table I, and the dataset-seeding strategy of
-/// §III-B3.
-#[derive(Debug, Clone)]
-pub struct GridSearch {
-    space: BoxSpace,
-    per_axis: usize,
-}
-
-impl GridSearch {
-    /// Creates a grid search with `per_axis` points per dimension.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_axis < 2`.
-    pub fn new(space: BoxSpace, per_axis: usize) -> Self {
-        assert!(per_axis >= 2, "grid needs at least 2 points per axis");
-        GridSearch { space, per_axis }
-    }
-
-    /// Number of grid points that will be evaluated.
-    pub fn len(&self) -> usize {
-        self.per_axis.pow(self.space.dim() as u32)
-    }
-
-    /// Returns `true` if the grid is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Evaluates every grid point in row-major order.
-    pub fn run(&self, objective: &mut dyn Objective) -> Trace {
-        assert_eq!(objective.dim(), self.space.dim(), "dimension mismatch");
-        let mut trace = Trace::new("grid");
-        for x in self.space.grid(self.per_axis) {
-            let v = objective.evaluate(&x);
-            trace.record(x, v);
-        }
-        trace
-    }
-}
-
 /// Perturbs `x` with independent Gaussian noise of standard deviation
 /// `sigma * width_d` per dimension, clamped into the space.
 ///
@@ -136,19 +94,6 @@ mod tests {
             RandomSearch::new(space.clone()).run(&mut obj, 20, &mut ChaCha8Rng::seed_from_u64(5));
         let t2 = RandomSearch::new(space).run(&mut obj, 20, &mut ChaCha8Rng::seed_from_u64(5));
         assert_eq!(t1.samples(), t2.samples());
-    }
-
-    #[test]
-    fn grid_search_hits_exact_optimum_on_grid() {
-        let space = BoxSpace::new(vec![-1.0, -1.0], vec![1.0, 1.0]);
-        let mut obj = FnObjective::new(2, |x: &[f64]| {
-            Some((x[0] - 0.0).powi(2) + (x[1] - 0.0).powi(2))
-        });
-        let gs = GridSearch::new(space, 5);
-        assert_eq!(gs.len(), 25);
-        let trace = gs.run(&mut obj);
-        assert_eq!(trace.len(), 25);
-        assert_eq!(trace.best_value(), Some(0.0)); // (0,0) is a grid point
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! are arithmetically independent and the parallel path only partitions them.
 //!
 //! Forward substitution additionally processes output rows in blocks of
-//! [`ROW_BLOCK`]: each already-solved row streams through cache once per
+//! `ROW_BLOCK`: each already-solved row streams through cache once per
 //! block instead of once per output row, and the fused update applies it to
 //! all rows of the block. For a fixed output element the subtractions still
 //! arrive in increasing-`k` order, so blocking never changes a single bit.

@@ -396,9 +396,9 @@ impl Registry {
         self.spans.lock().expect("registry lock").get(path).copied()
     }
 
-    /// Turns on per-event span tracing (see the [`trace`](crate::trace)
-    /// module docs). When off — the default — spans cost one relaxed
-    /// atomic load extra, nothing else.
+    /// Turns on per-event span tracing: spans record [`TraceEvent`]s that
+    /// [`write_chrome_trace`] exports. When off — the default — spans cost
+    /// one relaxed atomic load extra, nothing else.
     pub fn enable_tracing(&self) {
         self.tracing.store(true, Ordering::Relaxed);
     }

@@ -238,7 +238,7 @@ impl Slice {
 }
 
 /// A rate/quantile aggregator over the trailing N seconds: a ring of
-/// one-second [`Slice`]s sharing the [`Histogram`] bucket layout.
+/// one-second slices sharing the [`Histogram`] bucket layout.
 /// Memory is `N × BUCKET_COUNT` words, constant for the process lifetime;
 /// slices older than the window are recycled in place.
 ///

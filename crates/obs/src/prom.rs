@@ -1,5 +1,5 @@
 //! Prometheus text exposition format: a writer over a registry snapshot
-//! and a small parser for the gates and dashboards that scrape it back.
+//! and a small parser for the gates that scrape it back.
 //!
 //! The mapping from registry instruments to Prometheus families:
 //!

@@ -34,7 +34,10 @@ thread_local! {
 }
 
 /// A buffer for the order-sensitive observability writes of one unit of
-/// work. See the [module docs](self).
+/// work. While it is entered on a thread, the free functions
+/// [`series`](crate::series) and [`event`](crate::event) buffer into it;
+/// [`Scope::commit`] replays the buffer into the enclosing scope (or the
+/// global registry).
 #[derive(Debug, Default)]
 pub struct Scope {
     series: Mutex<BTreeMap<String, Arc<Series>>>,

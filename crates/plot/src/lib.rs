@@ -26,12 +26,10 @@ mod flame;
 mod heatmap;
 mod histogram;
 pub mod scale;
-mod sparkline;
 mod svg;
 
 pub use chart::{LineChart, ScatterChart, Series};
 pub use flame::FlameGraph;
 pub use heatmap::Heatmap;
 pub use histogram::Histogram;
-pub use sparkline::{text_sparkline, Dashboard};
 pub use svg::Svg;

@@ -17,7 +17,7 @@
 //!
 //! Concurrent `/predict` and `/decode` requests are coalesced by the
 //! admission queue ([`coalesce::Batcher`]) into single batched-model
-//! invocations; `/search` jobs run on a bounded worker pool ([`jobs`]).
+//! invocations; `/search` jobs run on a bounded [`WorkerPool`].
 //! All true evaluations funnel through one [`CachedScheduler`], so with
 //! `VAESA_EVAL_CACHE` set, every schedule computed for any tenant lands in
 //! the persistent cross-run evaluation cache and is served from disk after
@@ -46,7 +46,6 @@ mod core;
 pub mod http;
 mod jobs;
 pub mod telemetry;
-pub mod top;
 
 pub use coalesce::{BatchInfo, Batcher, BatcherStats};
 pub use core::{CoreConfig, Decoded, Prediction, ServeCore};

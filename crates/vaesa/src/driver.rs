@@ -8,7 +8,7 @@
 //!   each point is denormalized, snapped to the nearest legal design, and
 //!   scheduled.
 //! - [`SpaceMode::Latent`] searches the VAE latent box
-//!   ([`latent_box`](crate::flows::latent_box)); each point is decoded
+//!   ([`latent_box`]); each point is decoded
 //!   through the trained decoder, snapped, and scheduled.
 //!
 //! Both funnel into [`HardwareEvaluator`] and its cached scheduler, and

@@ -43,13 +43,11 @@ fn main() -> ExitCode {
             }
         };
     }
-    // `serve`, `client`, and `serve-top` likewise have their own grammars
-    // (client has positional subcommands); all live in the vaesa-serve
-    // crate.
-    if command == "serve" || command == "client" || command == "serve-top" {
+    // `serve` and `client` likewise have their own grammars (client has
+    // positional subcommands); both live in the vaesa-serve crate.
+    if command == "serve" || command == "client" {
         let result = match command.as_str() {
             "serve" => vaesa_repro::serve::cli::run_serve(rest),
-            "serve-top" => vaesa_repro::serve::top::run_top(rest),
             _ => vaesa_repro::serve::cli::run_client_command(rest),
         };
         return match result {
@@ -113,8 +111,6 @@ commands:
   client    query a running daemon          client [--addr HOST:PORT] <healthz|metrics
                                             |requests|request|predict|decode|search|job
                                             |shutdown> [flags]
-  serve-top live dashboard over /metrics    --addr HOST:PORT [--interval-ms N]
-                                            [--samples N] [--snapshot-svg PATH]
 
 workloads: alexnet, resnet50, resnext50, deepbench, vgg16, mobilenet,
            bert, all (the Table III training pool)

@@ -12,7 +12,7 @@
 //! - [`timeloop`] — the analytical latency/energy cost model
 //!   ([`vaesa_timeloop`]).
 //! - [`cosa`] — the one-shot scheduler ([`vaesa_cosa`]).
-//! - [`dse`] — random/grid search, Gaussian-process Bayesian optimization,
+//! - [`dse`] — random search, Gaussian-process Bayesian optimization,
 //!   and gradient descent drivers ([`vaesa_dse`]).
 //! - [`core`] — the VAESA model itself: VAE + performance predictors and the
 //!   latent-space DSE flows ([`vaesa`]).
