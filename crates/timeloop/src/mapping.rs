@@ -147,6 +147,29 @@ impl Mapping {
         self.k0 * self.spatial_k * self.k1
     }
 
+    /// The ten tiling and spatial factors, in declaration order.
+    #[inline]
+    fn factors(&self) -> [u64; 10] {
+        [
+            self.spatial_k,
+            self.spatial_c,
+            self.p0,
+            self.q0,
+            self.c0,
+            self.k0,
+            self.p1,
+            self.q1,
+            self.c1,
+            self.k1,
+        ]
+    }
+
+    /// The global-buffer tiles of P, Q, C and K.
+    #[inline]
+    fn tiles(&self) -> [u64; 4] {
+        [self.p_gb(), self.q_gb(), self.c_gb(), self.k_gb()]
+    }
+
     /// The largest derived tile [`Mapping::validate`] accepts along each
     /// of `layer`'s P, Q, C and K.
     pub(crate) fn tile_limits(layer: &LayerShape) -> [u64; 4] {
@@ -169,8 +192,31 @@ impl Mapping {
     }
 
     /// [`Mapping::validate`] against `layer`'s precomputed
-    /// [`Mapping::tile_limits`].
+    /// [`Mapping::tile_limits`]: one all-pass test, with the error built
+    /// only when it fails.
+    #[inline]
     pub(crate) fn check_limits(
+        &self,
+        arch: &ArchDescription,
+        layer: &LayerShape,
+        limits: &[u64; 4],
+    ) -> Result<(), MappingError> {
+        let nonzero = self.factors().iter().fold(true, |ok, &v| ok & (v != 0));
+        let tiles = self.tiles();
+        let fits = (0..4).fold(true, |ok, i| ok & (tiles[i] <= limits[i]));
+        if nonzero & fits & (self.spatial_k <= arch.pe_count) & (self.spatial_c <= arch.macs_per_pe)
+        {
+            Ok(())
+        } else {
+            self.first_violation(arch, layer, limits)
+        }
+    }
+
+    /// The first limit `self` violates, checked field by field: zero
+    /// factors, then spatial overflow, then oversized tiles.
+    #[cold]
+    #[inline(never)]
+    fn first_violation(
         &self,
         arch: &ArchDescription,
         layer: &LayerShape,
@@ -188,19 +234,7 @@ impl Mapping {
             "c1",
             "k1",
         ];
-        let factors = [
-            self.spatial_k,
-            self.spatial_c,
-            self.p0,
-            self.q0,
-            self.c0,
-            self.k0,
-            self.p1,
-            self.q1,
-            self.c1,
-            self.k1,
-        ];
-        if let Some(i) = factors.iter().position(|&v| v == 0) {
+        if let Some(i) = self.factors().iter().position(|&v| v == 0) {
             return Err(MappingError::ZeroFactor { field: FACTORS[i] });
         }
         if self.spatial_k > arch.pe_count {
@@ -218,7 +252,7 @@ impl Mapping {
             });
         }
         const DIMS: [&str; 4] = ["p", "q", "c", "k"];
-        let tiles = [self.p_gb(), self.q_gb(), self.c_gb(), self.k_gb()];
+        let tiles = self.tiles();
         let dims = [layer.p, layer.q, layer.c, layer.k];
         // Tiles may overshoot a dimension slightly (ceil semantics), but
         // grossly oversized tiles indicate a mis-built mapping.

@@ -139,6 +139,11 @@ impl PreparedModel<'_> {
     /// # Errors
     ///
     /// Exactly those of [`CostModel::evaluate`].
+    ///
+    /// Inlined, like the rest of the evaluation path, so that a caller
+    /// reading only some fields (the scheduler's descent reads only
+    /// [`Evaluation::edp`]) compiles without the arithmetic of the others.
+    #[inline(always)]
     pub fn evaluate(&self, mapping: &Mapping) -> Result<Evaluation, EvalError> {
         mapping
             .check_limits(self.arch, self.layer, &self.tile_limits)
@@ -147,10 +152,14 @@ impl PreparedModel<'_> {
     }
 
     /// The one evaluation body, for a mapping that passed validation.
+    /// Buffer residency is checked before any float count is formed, so a
+    /// tile that does not fit costs only its integer arithmetic.
+    #[inline(always)]
     fn evaluate_valid(&self, m: &Mapping) -> Result<Evaluation, EvalError> {
         let arch = self.arch;
-        let counts = AccessCounts::analyze_elems(&self.elems, self.layer, m);
-        counts.check_buffers(arch)?;
+        let tiles = Tiles::of(self.layer, m);
+        tiles.check_buffers(arch)?;
+        let counts = AccessCounts::analyze_elems(&self.elems, self.layer, m, &tiles);
 
         let e = &self.model.energy;
         let [gb_pj, wbuf_pj, ibuf_pj, abuf_pj] = self.sram_pj_per_byte;
@@ -267,41 +276,126 @@ pub struct AccessCounts {
     pub global_buf_required: u64,
 }
 
-/// `ceil(a / b)` for `b >= 1` (0 counts as 1). Divides in `u32` when
-/// both operands fit, which is exact and cheaper than a 64-bit divide.
+/// `ceil(a / b)` for `b >= 1` (0 counts as 1). A power-of-two divisor,
+/// as tiles almost always are, is a shift plus a remainder bit; otherwise
+/// it divides in `u32` when both operands fit, which is exact and cheaper
+/// than a 64-bit divide.
+#[inline]
 fn ceil_div(a: u64, b: u64) -> u64 {
     let b = b.max(1);
+    if b.is_power_of_two() {
+        return (a >> b.trailing_zeros()) + u64::from(a & (b - 1) != 0);
+    }
     match (u32::try_from(a), u32::try_from(b)) {
         (Ok(a), Ok(b)) => u64::from(a.div_ceil(b)),
         _ => a.div_ceil(b),
     }
 }
 
-impl AccessCounts {
-    /// Runs the tile-reuse analysis for a validated mapping.
-    ///
-    /// The architecture is not consulted directly — capacity checks happen in
-    /// [`CostModel::evaluate`] against the `*_required` fields — but is part
-    /// of the signature so future refinements (e.g. bandwidth-aware fills)
-    /// need no API break.
-    pub fn analyze(_arch: &ArchDescription, layer: &LayerShape, m: &Mapping) -> Self {
-        Self::analyze_elems(&LayerElems::of(layer), layer, m)
+/// A mapping's tiles clamped to the layer dimensions (ceil semantics
+/// allow factors to overshoot slightly), with the buffer residency they
+/// need.
+#[derive(Debug, Clone, Copy)]
+struct Tiles {
+    p0: u64,
+    q0: u64,
+    k0: u64,
+    c_pe: u64,
+    p_g: u64,
+    q_g: u64,
+    c_g: u64,
+    k_g: u64,
+    /// Residency of the weight, input, accumulation and global buffers,
+    /// in that order (bytes).
+    required: [u64; 4],
+}
+
+impl Tiles {
+    #[inline(always)]
+    fn of(layer: &LayerShape, m: &Mapping) -> Self {
+        let (r, s) = (layer.r, layer.s);
+        let p0 = m.p0.min(layer.p);
+        let q0 = m.q0.min(layer.q);
+        let k0 = m.k0.min(layer.k);
+        let c_pe = m.c_per_pe().min(layer.c);
+        let p_g = m.p_gb().min(layer.p);
+        let q_g = m.q_gb().min(layer.q);
+        let c_g = m.c_gb().min(layer.c);
+        let k_g = m.k_gb().min(layer.k);
+
+        let w0 = (p0 - 1) * layer.stride_w + r;
+        let h0 = (q0 - 1) * layer.stride_h + s;
+        let w_g = (p_g - 1) * layer.stride_w + r;
+        let h_g = (q_g - 1) * layer.stride_h + s;
+        Tiles {
+            p0,
+            q0,
+            k0,
+            c_pe,
+            p_g,
+            q_g,
+            c_g,
+            k_g,
+            required: [
+                r * s * c_pe * k0,
+                w0 * h0 * c_pe,
+                p0 * q0 * k0 * PARTIAL_BYTES as u64,
+                w_g * h_g * c_g + p_g * q_g * k_g * PARTIAL_BYTES as u64,
+            ],
+        }
     }
 
-    fn analyze_elems(elems: &LayerElems, layer: &LayerShape, m: &Mapping) -> Self {
+    /// The first buffer, in weight, input, accumulation, global order,
+    /// whose residency exceeds its capacity.
+    #[inline]
+    fn check_buffers(&self, arch: &ArchDescription) -> Result<(), EvalError> {
+        const LEVELS: [&str; 4] = [
+            "weight buffer",
+            "input buffer",
+            "accum buffer",
+            "global buffer",
+        ];
+        let available = [
+            arch.weight_buf_bytes,
+            arch.input_buf_bytes,
+            arch.accum_buf_bytes,
+            arch.global_buf_bytes,
+        ];
+        match (0..4).find(|&i| self.required[i] > available[i]) {
+            Some(i) => Err(EvalError::BufferOverflow {
+                level: LEVELS[i],
+                required: self.required[i],
+                available: available[i],
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
+impl AccessCounts {
+    /// Runs the tile-reuse analysis for a validated mapping. Capacity is
+    /// not checked here: [`CostModel::evaluate`] checks it against the
+    /// `*_required` fields.
+    pub fn analyze(layer: &LayerShape, m: &Mapping) -> Self {
+        Self::analyze_elems(&LayerElems::of(layer), layer, m, &Tiles::of(layer, m))
+    }
+
+    #[inline(always)]
+    fn analyze_elems(elems: &LayerElems, layer: &LayerShape, m: &Mapping, tiles: &Tiles) -> Self {
         let (r, s) = (layer.r, layer.s);
         let (p, q, c, k) = (layer.p, layer.q, layer.c, layer.k);
-
-        // Clamp tiles to the layer dimensions (ceil semantics allow factors
-        // to overshoot slightly).
-        let p0 = m.p0.min(p);
-        let q0 = m.q0.min(q);
-        let k0 = m.k0.min(k);
-        let c_pe = m.c_per_pe().min(c);
-        let p_g = m.p_gb().min(p);
-        let q_g = m.q_gb().min(q);
-        let c_g = m.c_gb().min(c);
-        let k_g = m.k_gb().min(k);
+        let Tiles {
+            p0,
+            q0,
+            k0,
+            c_pe,
+            p_g,
+            q_g,
+            c_g,
+            k_g,
+            required:
+                [weight_buf_required, input_buf_required, accum_buf_required, global_buf_required],
+        } = *tiles;
 
         // Tile counts at the DRAM level (iterations over global-buffer tiles).
         let n_p2 = ceil_div(p, p_g);
@@ -370,16 +464,6 @@ impl AccessCounts {
         let ibuf_fills = input_elems * INPUT_BYTES * n_k_pe as f64;
         let input_buf_access_bytes = ibuf_reads * INPUT_BYTES + ibuf_fills;
 
-        // Residency requirements.
-        let w0 = (p0 - 1) * layer.stride_w + r;
-        let h0 = (q0 - 1) * layer.stride_h + s;
-        let weight_buf_required = r * s * c_pe * k0;
-        let input_buf_required = w0 * h0 * c_pe;
-        let accum_buf_required = p0 * q0 * k0 * PARTIAL_BYTES as u64;
-        let w_g = (p_g - 1) * layer.stride_w + r;
-        let h_g = (q_g - 1) * layer.stride_h + s;
-        let global_buf_required = w_g * h_g * c_g + p_g * q_g * k_g * PARTIAL_BYTES as u64;
-
         AccessCounts {
             macs,
             dram_weight_bytes,
@@ -420,41 +504,6 @@ impl AccessCounts {
     /// Total accumulation-buffer bytes accessed.
     pub fn abuf_bytes(&self) -> f64 {
         self.accum_buf_access_bytes
-    }
-
-    fn check_buffers(&self, arch: &ArchDescription) -> Result<(), EvalError> {
-        let checks = [
-            (
-                "weight buffer",
-                self.weight_buf_required,
-                arch.weight_buf_bytes,
-            ),
-            (
-                "input buffer",
-                self.input_buf_required,
-                arch.input_buf_bytes,
-            ),
-            (
-                "accum buffer",
-                self.accum_buf_required,
-                arch.accum_buf_bytes,
-            ),
-            (
-                "global buffer",
-                self.global_buf_required,
-                arch.global_buf_bytes,
-            ),
-        ];
-        for (level, required, available) in checks {
-            if required > available {
-                return Err(EvalError::BufferOverflow {
-                    level,
-                    required,
-                    available,
-                });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -644,6 +693,45 @@ mod tests {
             q1: 2,
             c1: 2,
             k1: 1,
+        }
+    }
+
+    #[test]
+    fn ceil_div_matches_div_ceil() {
+        let big = u64::from(u32::MAX);
+        let dividends = [
+            0,
+            1,
+            2,
+            3,
+            7,
+            8,
+            9,
+            63,
+            64,
+            65,
+            1000,
+            big - 1,
+            big,
+            big + 1,
+            big + 2,
+            1 << 33,
+            (1 << 40) + 5,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        // Every power of two, its neighbours, and a few other divisors
+        // below and above `u32::MAX`; 0 counts as 1.
+        let divisors = (0..64)
+            .flat_map(|e| {
+                let b = 1u64 << e;
+                [b - 1, b, b + 1]
+            })
+            .chain([0, 3, 5, 6, 7, 12, 96, 100, 1000, big, u64::MAX]);
+        for b in divisors {
+            for a in dividends {
+                assert_eq!(ceil_div(a, b), a.div_ceil(b.max(1)), "ceil_div({a}, {b})");
+            }
         }
     }
 

@@ -26,7 +26,7 @@ fn roomy_arch() -> ArchDescription {
 
 #[test]
 fn unit_mapping_counts_match_hand_computation() {
-    let counts = AccessCounts::analyze(&roomy_arch(), &tiny_layer(), &Mapping::unit());
+    let counts = AccessCounts::analyze(&tiny_layer(), &Mapping::unit());
 
     assert_eq!(counts.macs, 16.0);
     // All tiles are 1, so every DRAM-level tile count is 2:
@@ -59,7 +59,7 @@ fn spatial_mapping_counts_match_hand_computation() {
         spatial_c: 2,
         ..Mapping::unit()
     };
-    let counts = AccessCounts::analyze(&roomy_arch(), &tiny_layer(), &mapping);
+    let counts = AccessCounts::analyze(&tiny_layer(), &mapping);
 
     // Full C and K are now covered spatially: no reduction splits, no K
     // refetch of inputs.
@@ -123,21 +123,13 @@ fn strided_layer_inflates_input_footprint_only() {
     // outputs do not.
     let unstrided = LayerShape::new("s1", 3, 3, 8, 8, 4, 4, 1, 1);
     let strided = LayerShape::new("s2", 3, 3, 8, 8, 4, 4, 2, 2);
-    let arch = ArchDescription {
-        pe_count: 4,
-        macs_per_pe: 4,
-        accum_buf_bytes: 64 * 1024,
-        weight_buf_bytes: 64 * 1024,
-        input_buf_bytes: 64 * 1024,
-        global_buf_bytes: 256 * 1024,
-    };
     let m = Mapping {
         p0: 8,
         q0: 8,
         ..Mapping::unit()
     };
-    let a = AccessCounts::analyze(&arch, &unstrided, &m);
-    let b = AccessCounts::analyze(&arch, &strided, &m);
+    let a = AccessCounts::analyze(&unstrided, &m);
+    let b = AccessCounts::analyze(&strided, &m);
     assert_eq!(a.macs, b.macs);
     assert_eq!(a.weight_buf_required, b.weight_buf_required);
     assert_eq!(a.accum_buf_required, b.accum_buf_required);
@@ -148,20 +140,12 @@ fn strided_layer_inflates_input_footprint_only() {
 #[test]
 fn growing_spatial_c_reduces_accumulator_traffic_proportionally() {
     let layer = LayerShape::new("c", 3, 3, 8, 8, 64, 8, 1, 1);
-    let arch = ArchDescription {
-        pe_count: 8,
-        macs_per_pe: 64,
-        accum_buf_bytes: 64 * 1024,
-        weight_buf_bytes: 256 * 1024,
-        input_buf_bytes: 256 * 1024,
-        global_buf_bytes: 512 * 1024,
-    };
     let traffic = |sc: u64| {
         let m = Mapping {
             spatial_c: sc,
             ..Mapping::unit()
         };
-        AccessCounts::analyze(&arch, &layer, &m).accum_buf_access_bytes
+        AccessCounts::analyze(&layer, &m).accum_buf_access_bytes
     };
     assert_eq!(traffic(1) / traffic(4), 4.0);
     assert_eq!(traffic(4) / traffic(16), 4.0);
@@ -170,21 +154,13 @@ fn growing_spatial_c_reduces_accumulator_traffic_proportionally() {
 #[test]
 fn bigger_gb_tiles_cut_weight_refetch_exactly() {
     let layer = LayerShape::new("w", 1, 1, 16, 16, 8, 8, 1, 1);
-    let arch = ArchDescription {
-        pe_count: 4,
-        macs_per_pe: 8,
-        accum_buf_bytes: 64 * 1024,
-        weight_buf_bytes: 64 * 1024,
-        input_buf_bytes: 64 * 1024,
-        global_buf_bytes: 1024 * 1024,
-    };
     let weight_bytes = |p1: u64, q1: u64| {
         let m = Mapping {
             p1,
             q1,
             ..Mapping::unit()
         };
-        AccessCounts::analyze(&arch, &layer, &m).dram_weight_bytes
+        AccessCounts::analyze(&layer, &m).dram_weight_bytes
     };
     // Doubling the P tile halves the number of spatial passes: 16 -> 8.
     assert_eq!(weight_bytes(1, 1) / weight_bytes(2, 1), 2.0);
