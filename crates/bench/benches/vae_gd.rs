@@ -77,6 +77,16 @@ fn bench_multi_start_gd(c: &mut Criterion) {
             })
         });
     }
+    // One proxy pass at Fig. 12's shape: each descent step scores its ten
+    // starts in one 10-row forward and backward pass.
+    let mut rng = ChaCha8Rng::seed_from_u64(10);
+    let zs: Vec<f64> = (0..10).flat_map(|_| space.sample(&mut rng)).collect();
+    let mut scratch = EdpGradBatch::default();
+    c.bench_function("vae_gd/proxy_pass_b10", |b| {
+        b.iter(|| {
+            black_box(model.predicted_edp_grad_batch(&zs, 10, &layer, 1.0, 1.0, &mut scratch))
+        })
+    });
 }
 
 /// A [`SearchObjective`] whose final-point scoring reuses the proxy's value

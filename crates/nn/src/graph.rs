@@ -1,5 +1,6 @@
-use crate::layers::LEAKY_SLOPE;
+use crate::simd64::tier;
 use crate::tensor::{leaky_relu, matmul_into, matmul_ta_into, matmul_tb_into, sigmoid};
+use crate::tensor::{sigmoid_slope, tanh_slope};
 use crate::{Activation, Tensor};
 
 /// Identifier of a value node in a [`Graph`].
@@ -83,7 +84,8 @@ struct Node {
 /// and scratch buffer, and ops write into them, so a loop that records the
 /// same ops each step stops allocating after its first step (DESIGN.md
 /// §2.2, "The tape's reuse contract"). Leaves made by [`Graph::constant`]
-/// get no gradient, and neither does anything computed only from them.
+/// or [`Graph::frozen`] get no gradient, and neither does anything computed
+/// only from them.
 ///
 /// # Examples
 ///
@@ -171,8 +173,20 @@ impl Graph {
     /// Adds a differentiable leaf holding a copy of `value`, written into
     /// the slot's retained buffer (the per-step route for parameters).
     pub fn param(&mut self, value: &Tensor) -> VarId {
+        self.copy_leaf(value, true)
+    }
+
+    /// Like [`Graph::param`], but the leaf receives no gradient: a
+    /// parameter that is read and not trained, as in a gradient-descent
+    /// proxy. Its weight-gradient products are skipped, and every other
+    /// gradient keeps its bits.
+    pub fn frozen(&mut self, value: &Tensor) -> VarId {
+        self.copy_leaf(value, false)
+    }
+
+    fn copy_leaf(&mut self, value: &Tensor, needs_grad: bool) -> VarId {
         let (rows, cols) = value.shape();
-        self.push(Op::Leaf, true)
+        self.push(Op::Leaf, needs_grad)
             .1
             .copy_from_flat(rows, cols, value.as_slice());
         self.last()
@@ -222,13 +236,7 @@ impl Graph {
         let needs_grad = self.needs_grad(&[x, w, bias]);
         let (nodes, out) = self.push(Op::Linear(x, w, bias, act), needs_grad);
         matmul_into(&nodes[x.0].value, &nodes[w.0].value, out);
-        let b = nodes[bias.0].value.as_slice();
-        match act {
-            Activation::Identity => bias_act(out, b, |v| v),
-            Activation::LeakyRelu => bias_act(out, b, |v| leaky_relu(v, LEAKY_SLOPE)),
-            Activation::Sigmoid => bias_act(out, b, sigmoid),
-            Activation::Tanh => bias_act(out, b, f64::tanh),
-        }
+        bias_act(out, nodes[bias.0].value.as_slice(), act);
         self.last()
     }
 
@@ -286,7 +294,7 @@ impl Graph {
         let (nodes, out) = self.push(Op::AddRowBroadcast(a, bias), needs_grad);
         let src = &nodes[a.0].value;
         out.copy_from_flat(src.rows(), cols, src.as_slice());
-        bias_act(out, nodes[bias.0].value.as_slice(), |v| v);
+        bias_act(out, nodes[bias.0].value.as_slice(), Activation::Identity);
         self.last()
     }
 
@@ -465,11 +473,7 @@ impl Graph {
                     // pre-activation's gradient.
                     let gpre = match act {
                         Activation::Identity => gout,
-                        Activation::LeakyRelu => {
-                            local_grad(scratch, gout, value, leaky_slope_of_output)
-                        }
-                        Activation::Sigmoid => local_grad(scratch, gout, value, sigmoid_slope),
-                        Activation::Tanh => local_grad(scratch, gout, value, tanh_slope),
+                        _ => local_grad(scratch, gout, value, act),
                     };
                     contribute(lo, tmp, bias, |_, out| gpre.sum_rows_into(out));
                     product_grads(lo, tmp, x, w, gpre);
@@ -591,17 +595,13 @@ impl Graph {
     }
 }
 
-/// Adds `bias` to every row of `out` and applies `f` to each sum, in one
-/// pass.
-fn bias_act(out: &mut Tensor, bias: &[f64], f: impl Fn(f64) -> f64) {
+/// Adds `bias` to every row of `out` and applies `act` to each sum.
+fn bias_act(out: &mut Tensor, bias: &[f64], act: Activation) {
     if bias.is_empty() {
         return;
     }
-    for row in out.as_mut_slice().chunks_exact_mut(bias.len()) {
-        for (v, &b) in row.iter_mut().zip(bias) {
-            *v = f(*v + b);
-        }
-    }
+    // SAFETY: the tier was selected under runtime feature detection.
+    unsafe { (tier().bias_act)(out.as_mut_slice(), bias, act) };
 }
 
 /// Copies every row of `src`, from column `from` on, into `dst` from
@@ -638,26 +638,6 @@ fn times<'a>(
         .map(move |(&gv, &xv)| gv * d(xv))
 }
 
-/// Sigmoid's derivative, from its output `y`.
-fn sigmoid_slope(y: f64) -> f64 {
-    y * (1.0 - y)
-}
-
-/// Tanh's derivative, from its output `y`.
-fn tanh_slope(y: f64) -> f64 {
-    1.0 - y * y
-}
-
-/// [`Activation::LeakyRelu`]'s derivative, from its output `y`: with a
-/// positive slope, `y > 0` exactly when the input is.
-fn leaky_slope_of_output(y: f64) -> f64 {
-    if y > 0.0 {
-        1.0
-    } else {
-        LEAKY_SLOPE
-    }
-}
-
 /// Adds the gradients of the product `a · b` into `a` and `b`, from the
 /// product's gradient `g`.
 fn product_grads(nodes: &mut [Node], tmp: &mut Tensor, a: VarId, b: VarId, g: &Tensor) {
@@ -669,15 +649,19 @@ fn product_grads(nodes: &mut [Node], tmp: &mut Tensor, a: VarId, b: VarId, g: &T
     });
 }
 
-/// Writes `g[k] * d(y[k])` into `scratch`, the gradient of a fused
-/// layer's pre-activation from its output `y`.
-fn local_grad<'a>(
-    scratch: &'a mut Tensor,
-    g: &Tensor,
-    y: &Tensor,
-    d: impl Fn(f64) -> f64,
-) -> &'a Tensor {
-    write(scratch, g.shape(), times(g, y, d));
+/// Writes `g · act'(y)` into `scratch`, the gradient of a fused layer's
+/// pre-activation from its output `y`.
+fn local_grad<'a>(scratch: &'a mut Tensor, g: &Tensor, y: &Tensor, act: Activation) -> &'a Tensor {
+    let (rows, cols) = g.shape();
+    assert_eq!(
+        y.shape(),
+        (rows, cols),
+        "local_grad: gradient and output shapes differ"
+    );
+    scratch.resize_uninit(rows, cols);
+    // SAFETY: the tier was selected under runtime feature detection, and
+    // the three buffers have one length (asserted and resized above).
+    unsafe { (tier().local_grad)(scratch.as_mut_slice(), g.as_slice(), y.as_slice(), act) };
     scratch
 }
 

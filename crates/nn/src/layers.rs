@@ -109,13 +109,18 @@ impl Linear {
     }
 
     /// Runs the layer on graph node `x` as one fused node `act(x W + b)`
-    /// ([`Graph::linear`]), returning `(output, weight id, bias id)`.
-    ///
-    /// The returned ids let the caller pull gradients back into the `Param`s
-    /// after `backward`; [`Mlp::forward`] does this bookkeeping for you.
-    pub fn forward(&self, g: &mut Graph, x: VarId, act: Activation) -> (VarId, VarId, VarId) {
-        let w = g.param(&self.weight.value);
-        let b = g.param(&self.bias.value);
+    /// ([`Graph::linear`]), its weight and bias recorded by `leaf`
+    /// ([`Graph::param`] or [`Graph::frozen`]); returns `(output, weight
+    /// id, bias id)`.
+    fn record(
+        &self,
+        g: &mut Graph,
+        x: VarId,
+        act: Activation,
+        leaf: impl Fn(&mut Graph, &Tensor) -> VarId,
+    ) -> (VarId, VarId, VarId) {
+        let w = leaf(g, &self.weight.value);
+        let b = leaf(g, &self.bias.value);
         (g.linear(x, w, b, act), w, b)
     }
 }
@@ -161,7 +166,7 @@ pub struct MlpPass {
 }
 
 impl MlpPass {
-    /// Nodes each layer records on the tape ([`Linear::forward`]).
+    /// Nodes each layer records on the tape: weight, bias, output.
     const NODES_PER_LAYER: usize = 3;
 
     /// `(weight id, bias id)` per layer, in layer order.
@@ -224,8 +229,26 @@ impl Mlp {
             .sum()
     }
 
-    /// Runs the MLP on graph node `x`.
+    /// Runs the MLP on graph node `x`, its parameters recorded by
+    /// [`Graph::param`] so they receive gradients.
     pub fn forward(&self, g: &mut Graph, x: VarId) -> MlpPass {
+        self.record(g, x, Graph::param)
+    }
+
+    /// Runs the MLP on graph node `x` with its parameters as
+    /// [`Graph::frozen`] leaves: the input still gets its gradient, with
+    /// the same bits as through [`Mlp::forward`], but no weight or bias
+    /// gradient is computed.
+    pub fn forward_frozen(&self, g: &mut Graph, x: VarId) -> MlpPass {
+        self.record(g, x, Graph::frozen)
+    }
+
+    fn record(
+        &self,
+        g: &mut Graph,
+        x: VarId,
+        leaf: impl Fn(&mut Graph, &Tensor) -> VarId,
+    ) -> MlpPass {
         let mut h = x;
         let mut first_weight = None;
         let last = self.layers.len() - 1;
@@ -235,7 +258,7 @@ impl Mlp {
             } else {
                 self.hidden_activation
             };
-            let (out, w, b) = layer.forward(g, h, act);
+            let (out, w, b) = layer.record(g, h, act, &leaf);
             let first = first_weight.get_or_insert(w).0 + i * MlpPass::NODES_PER_LAYER;
             assert_eq!(
                 (w.0, b.0),

@@ -6,9 +6,9 @@
 //! crate provides the equivalent machinery from scratch:
 //!
 //! - [`Tensor`]: dense 2-D `f64` arrays (batch × features). Its matmul
-//!   family runs AVX2 or AVX-512 f64 kernels where the CPU has them, with
-//!   the same bits as the scalar kernels ([`cpu_features`] names what the
-//!   CPU offers).
+//!   family, and the elementwise passes of a fused layer, run AVX2 or
+//!   AVX-512 f64 kernels where the CPU has them, with the same bits as the
+//!   scalar kernels ([`cpu_features`] names what the CPU offers).
 //! - [`Graph`]: a define-by-run autodiff tape with the operations the VAESA
 //!   models need (matmul, a fused fully connected layer, broadcasting bias,
 //!   leaky ReLU/sigmoid/tanh, exp, slicing/concatenation, MSE and

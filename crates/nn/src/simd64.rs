@@ -1,15 +1,17 @@
-//! `f64` matmul kernels behind [`Tensor::matmul`](crate::Tensor::matmul),
-//! [`Tensor::matmul_transpose_a`](crate::Tensor::matmul_transpose_a) and
-//! [`Tensor::matmul_transpose_b`](crate::Tensor::matmul_transpose_b).
+//! `f64` kernels behind the [`Tensor`](crate::Tensor) products
+//! ([`matmul`](crate::Tensor::matmul),
+//! [`matmul_transpose_a`](crate::Tensor::matmul_transpose_a),
+//! [`matmul_transpose_b`](crate::Tensor::matmul_transpose_b)) and the
+//! elementwise epilogues of a fused layer.
 //!
-//! Each product has a scalar body plus AVX2 and AVX-512F bodies generated
+//! Each kernel has a scalar body plus AVX2 and AVX-512F bodies generated
 //! from one template; the tier is picked once per process by runtime
 //! feature detection ([`simd_level`]), with the scalar bodies as the
 //! fallback. The SIMD bodies vectorize across output columns and give every
-//! output element exactly the multiplies and adds of the scalar body, in
-//! the same order, each rounded separately — never FMA. Every tier
-//! therefore produces the same IEEE-754 bits on every machine (DESIGN.md
-//! §3.2, "Numerics"). Per output element:
+//! output element exactly the operations of the scalar body, in the same
+//! order, each rounded separately — never FMA. Every tier therefore
+//! produces the same IEEE-754 bits on every machine (DESIGN.md §3.2,
+//! "Numerics"). Per output element:
 //!
 //! - `matmul`: starting from `0.0`, one add per panel of [`PANEL`]
 //!   consecutive inner-dimension rows, panels in increasing `k`, of the
@@ -21,11 +23,21 @@
 //!   products at `k ≡ t (mod 4)` over the whole chunks of four in increasing
 //!   `k`, a tail summing the leftover `k` from `0.0` in increasing order, and
 //!   the result `((l₀ + l₁) + (l₂ + l₃)) + tail`.
+//! - `bias_act`: `act(v + b)`. Leaky ReLU is `x > 0 ? x : slope · x`, a
+//!   compare and a blend; sigmoid and tanh make one libm call per element.
+//! - `local_grad`: `g · act'(y)` from the layer's output `y`, with
+//!   `act'` of [`crate::tensor`]: `y > 0 ? 1 : slope`, `y · (1 − y)`,
+//!   `1 − y · y`, or `1` for the identity.
+//! - `sum_rows`: starting from `0.0`, `+= x[r][j]` for `r` in increasing
+//!   order.
 //!
 //! Parallelism splits only output rows, in row blocks fixed by shape, so
 //! the bits are also independent of the thread count.
 
-use crate::tensor::run_rowblocks;
+use crate::layers::LEAKY_SLOPE;
+use crate::tensor::{leaky_relu, leaky_slope_of_output, run_rowblocks, sigmoid};
+use crate::tensor::{sigmoid_slope, tanh_slope};
+use crate::Activation;
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
@@ -38,6 +50,9 @@ const PANEL: usize = 4;
 const ROWS: usize = 4;
 #[cfg(target_arch = "x86_64")]
 const COLS: usize = 2;
+/// Vectors of column sums in flight in `sum_rows`.
+#[cfg(target_arch = "x86_64")]
+const SUM_COLS: usize = 4;
 
 /// One product over row-major buffers, `(a, b, d0, d1, d2, out)`:
 /// `(A, B, m, inner, n)` for `matmul` (`A` is `m x inner`, `B` is
@@ -47,11 +62,26 @@ const COLS: usize = 2;
 /// prior contents are never read.
 pub(crate) type Product = unsafe fn(&[f64], &[f64], usize, usize, usize, &mut [f64]);
 
-/// The three products of one SIMD tier.
+/// `(out, bias, act)`: every row of `out` (rows as wide as the non-empty
+/// `bias`) becomes `act(row + bias)`.
+pub(crate) type BiasAct = unsafe fn(&mut [f64], &[f64], Activation);
+
+/// `(out, g, y, act)`: `out = g · act'(y)` elementwise, `act'` taken from
+/// the activation's output `y`; the three slices have one length.
+pub(crate) type LocalGrad = unsafe fn(&mut [f64], &[f64], &[f64], Activation);
+
+/// `(x, out)`: the column sums of the rows of `x` (rows as wide as the
+/// non-empty `out`) into `out`, whose prior contents are never read.
+pub(crate) type SumRows = unsafe fn(&[f64], &mut [f64]);
+
+/// The kernels of one SIMD tier.
 pub(crate) struct Tier {
     pub matmul: Product,
     pub matmul_ta: Product,
     pub matmul_tb: Product,
+    pub bias_act: BiasAct,
+    pub local_grad: LocalGrad,
+    pub sum_rows: SumRows,
 }
 
 thread_local! {
@@ -130,6 +160,9 @@ pub(crate) const SCALAR: Tier = Tier {
     matmul: matmul_scalar,
     matmul_ta: matmul_ta_scalar,
     matmul_tb: matmul_tb_scalar,
+    bias_act: bias_act_scalar,
+    local_grad: local_grad_scalar,
+    sum_rows: sum_rows_scalar,
 };
 
 /// `unsafe` only to share the [`Product`] signature; always safe to call.
@@ -236,21 +269,72 @@ unsafe fn matmul_tb_scalar(
     });
 }
 
-/// Expands to one SIMD tier's `TIER` and its three bodies. The expansion
-/// site supplies the vector type `V`, its width `LANES`, a tail `Mask`,
+/// `unsafe` only to share the [`BiasAct`] signature; always safe to call.
+unsafe fn bias_act_scalar(out: &mut [f64], bias: &[f64], act: Activation) {
+    fn run(out: &mut [f64], bias: &[f64], f: impl Fn(f64) -> f64) {
+        for row in out.chunks_exact_mut(bias.len()) {
+            for (v, &b) in row.iter_mut().zip(bias) {
+                *v = f(*v + b);
+            }
+        }
+    }
+    match act {
+        Activation::Identity => run(out, bias, |v| v),
+        Activation::LeakyRelu => run(out, bias, |v| leaky_relu(v, LEAKY_SLOPE)),
+        Activation::Sigmoid => run(out, bias, sigmoid),
+        Activation::Tanh => run(out, bias, f64::tanh),
+    }
+}
+
+/// `unsafe` only to share the [`LocalGrad`] signature; always safe to call.
+unsafe fn local_grad_scalar(out: &mut [f64], g: &[f64], y: &[f64], act: Activation) {
+    fn run(out: &mut [f64], g: &[f64], y: &[f64], d: impl Fn(f64) -> f64) {
+        for ((o, &gv), &yv) in out.iter_mut().zip(g).zip(y) {
+            *o = gv * d(yv);
+        }
+    }
+    match act {
+        Activation::Identity => run(out, g, y, |_| 1.0),
+        Activation::LeakyRelu => run(out, g, y, leaky_slope_of_output),
+        Activation::Sigmoid => run(out, g, y, sigmoid_slope),
+        Activation::Tanh => run(out, g, y, tanh_slope),
+    }
+}
+
+/// `unsafe` only to share the [`SumRows`] signature; always safe to call.
+unsafe fn sum_rows_scalar(x: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    for row in x.chunks_exact(out.len()) {
+        for (o, &v) in out.iter_mut().zip(row) {
+            *o += v;
+        }
+    }
+}
+
+/// The activation of a SIMD epilogue body, as a const-generic parameter.
+#[cfg(target_arch = "x86_64")]
+mod act {
+    pub const IDENTITY: u8 = 0;
+    pub const LEAKY: u8 = 1;
+    pub const SIGMOID: u8 = 2;
+    pub const TANH: u8 = 3;
+}
+
+/// Expands to one SIMD tier's `TIER` and its bodies. The expansion site
+/// supplies the vector type `V`, its width `LANES`, a tail `Mask`,
 /// `TB_ROWS` (the `matmul_transpose_b` tile height) and `#[inline]` helpers
-/// `zero`, `splat`, `add`, `mul`, `mask`, `load` and `store` compiled for
-/// `$feature`. `FULL` tiles use unmasked loads and stores; the last,
-/// partial vector of a row uses `mask(lanes)`. Every element sees the
-/// scalar body's operation sequence (module docs); the blocking only
-/// changes how many elements are in flight.
+/// `zero`, `splat`, `add`, `sub`, `mul`, `select_pos`, `mask`, `load` and
+/// `store` compiled for `$feature`. `FULL` tiles use unmasked loads and
+/// stores; the last, partial vector of a row uses `mask(lanes)`. Every
+/// element sees the scalar body's operation sequence (module docs); the
+/// blocking only changes how many elements are in flight.
 ///
 /// # Safety
 ///
 /// Every generated `unsafe fn` requires `$feature`. The tile functions
 /// take raw pointers and touch exactly the rows and columns of their tile;
-/// the `*_tiles` loops keep every tile inside the buffers the three
-/// `Product` bodies were given.
+/// the `*_tiles` loops keep every tile inside the buffers the `Tier`
+/// bodies were given.
 #[cfg(target_arch = "x86_64")]
 macro_rules! simd_tier {
     ($feature:literal) => {
@@ -258,7 +342,157 @@ macro_rules! simd_tier {
             matmul,
             matmul_ta,
             matmul_tb,
+            bias_act,
+            local_grad,
+            sum_rows,
         };
+
+        /// # Safety
+        ///
+        /// Requires the tier's CPU feature.
+        #[target_feature(enable = $feature)]
+        unsafe fn bias_act(out: &mut [f64], bias: &[f64], activation: Activation) {
+            match activation {
+                Activation::Identity => bias_act_rows::<{ act::IDENTITY }>(out, bias),
+                Activation::LeakyRelu => bias_act_rows::<{ act::LEAKY }>(out, bias),
+                // The libm call per element stays scalar; only the bias
+                // add is vectorized.
+                Activation::Sigmoid => {
+                    bias_act_rows::<{ act::IDENTITY }>(out, bias);
+                    out.iter_mut().for_each(|v| *v = sigmoid(*v));
+                }
+                Activation::Tanh => {
+                    bias_act_rows::<{ act::IDENTITY }>(out, bias);
+                    out.iter_mut().for_each(|v| *v = v.tanh());
+                }
+            }
+        }
+
+        /// `row = ACT(row + bias)` for every row of `out`; `ACT` is the
+        /// identity or leaky ReLU.
+        #[target_feature(enable = $feature)]
+        unsafe fn bias_act_rows<const ACT: u8>(out: &mut [f64], bias: &[f64]) {
+            let n = bias.len();
+            let (o, b) = (out.as_mut_ptr(), bias.as_ptr());
+            for r in 0..out.len() / n {
+                let row = o.add(r * n);
+                let mut j = 0;
+                while j + LANES <= n {
+                    bias_act_vec::<ACT, true>(row.add(j), b.add(j), mask(LANES));
+                    j += LANES;
+                }
+                if j < n {
+                    bias_act_vec::<ACT, false>(row.add(j), b.add(j), mask(n - j));
+                }
+            }
+        }
+
+        #[inline]
+        #[target_feature(enable = $feature)]
+        unsafe fn bias_act_vec<const ACT: u8, const FULL: bool>(
+            p: *mut f64,
+            b: *const f64,
+            m: Mask,
+        ) {
+            let v = add(load::<FULL>(p, m), load::<FULL>(b, m));
+            let v = if ACT == act::LEAKY {
+                select_pos(v, v, mul(splat(LEAKY_SLOPE), v))
+            } else {
+                v
+            };
+            store::<FULL>(p, m, v);
+        }
+
+        /// # Safety
+        ///
+        /// Requires the tier's CPU feature.
+        #[target_feature(enable = $feature)]
+        unsafe fn local_grad(out: &mut [f64], g: &[f64], y: &[f64], activation: Activation) {
+            match activation {
+                Activation::Identity => local_grad_all::<{ act::IDENTITY }>(out, g, y),
+                Activation::LeakyRelu => local_grad_all::<{ act::LEAKY }>(out, g, y),
+                Activation::Sigmoid => local_grad_all::<{ act::SIGMOID }>(out, g, y),
+                Activation::Tanh => local_grad_all::<{ act::TANH }>(out, g, y),
+            }
+        }
+
+        #[target_feature(enable = $feature)]
+        unsafe fn local_grad_all<const ACT: u8>(out: &mut [f64], g: &[f64], y: &[f64]) {
+            let n = out.len();
+            let (o, g, y) = (out.as_mut_ptr(), g.as_ptr(), y.as_ptr());
+            let mut j = 0;
+            while j + LANES <= n {
+                local_grad_vec::<ACT, true>(o.add(j), g.add(j), y.add(j), mask(LANES));
+                j += LANES;
+            }
+            if j < n {
+                local_grad_vec::<ACT, false>(o.add(j), g.add(j), y.add(j), mask(n - j));
+            }
+        }
+
+        /// `g · act'(y)` for one vector; the derivative is formed as in
+        /// the scalar `act'` and multiplied on the right.
+        #[inline]
+        #[target_feature(enable = $feature)]
+        unsafe fn local_grad_vec<const ACT: u8, const FULL: bool>(
+            o: *mut f64,
+            g: *const f64,
+            y: *const f64,
+            m: Mask,
+        ) {
+            let y = load::<FULL>(y, m);
+            let d = match ACT {
+                act::LEAKY => select_pos(y, splat(1.0), splat(LEAKY_SLOPE)),
+                act::SIGMOID => mul(y, sub(splat(1.0), y)),
+                act::TANH => sub(splat(1.0), mul(y, y)),
+                _ => splat(1.0),
+            };
+            store::<FULL>(o, m, mul(load::<FULL>(g, m), d));
+        }
+
+        /// # Safety
+        ///
+        /// Requires the tier's CPU feature.
+        #[target_feature(enable = $feature)]
+        unsafe fn sum_rows(x: &[f64], out: &mut [f64]) {
+            let n = out.len();
+            let rows = x.len() / n;
+            let (x, o) = (x.as_ptr(), out.as_mut_ptr());
+            let mut j = 0;
+            while j + SUM_COLS * LANES <= n {
+                sum_rows_tile::<SUM_COLS, true>(x.add(j), rows, n, o.add(j), mask(LANES));
+                j += SUM_COLS * LANES;
+            }
+            while j + LANES <= n {
+                sum_rows_tile::<1, true>(x.add(j), rows, n, o.add(j), mask(LANES));
+                j += LANES;
+            }
+            if j < n {
+                sum_rows_tile::<1, false>(x.add(j), rows, n, o.add(j), mask(n - j));
+            }
+        }
+
+        /// `C` vectors of column sums, each accumulator starting from
+        /// `0.0` and adding the rows in increasing order.
+        #[inline]
+        #[target_feature(enable = $feature)]
+        unsafe fn sum_rows_tile<const C: usize, const FULL: bool>(
+            x: *const f64,
+            rows: usize,
+            n: usize,
+            out: *mut f64,
+            m: Mask,
+        ) {
+            let mut acc = [zero(); C];
+            for r in 0..rows {
+                for (c, a) in acc.iter_mut().enumerate() {
+                    *a = add(*a, load::<FULL>(x.add(r * n + c * LANES), m));
+                }
+            }
+            for (c, &a) in acc.iter().enumerate() {
+                store::<FULL>(out.add(c * LANES), m, a);
+            }
+        }
 
         /// # Safety
         ///
@@ -604,7 +838,10 @@ macro_rules! simd_tier {
 /// 256-bit bodies: four `f64` lanes, `maskload`/`maskstore` tails.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{run_rowblocks, COLS, PANEL, ROWS, TRANSPOSED};
+    use super::{
+        act, run_rowblocks, sigmoid, COLS, LEAKY_SLOPE, PANEL, ROWS, SUM_COLS, TRANSPOSED,
+    };
+    use crate::Activation;
     use std::arch::x86_64::*;
 
     type V = __m256d;
@@ -634,8 +871,21 @@ mod avx2 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
+    unsafe fn sub(x: V, y: V) -> V {
+        _mm256_sub_pd(x, y)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
     unsafe fn mul(x: V, y: V) -> V {
         _mm256_mul_pd(x, y)
+    }
+
+    /// `pos` in the lanes where `y > 0` (false for NaN), else `neg`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn select_pos(y: V, pos: V, neg: V) -> V {
+        _mm256_blendv_pd(neg, pos, _mm256_cmp_pd::<_CMP_GT_OQ>(y, zero()))
     }
 
     #[inline]
@@ -673,7 +923,10 @@ mod avx2 {
 /// 512-bit bodies: eight `f64` lanes, mask-register tails.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{run_rowblocks, COLS, PANEL, ROWS, TRANSPOSED};
+    use super::{
+        act, run_rowblocks, sigmoid, COLS, LEAKY_SLOPE, PANEL, ROWS, SUM_COLS, TRANSPOSED,
+    };
+    use crate::Activation;
     use std::arch::x86_64::*;
 
     type V = __m512d;
@@ -703,8 +956,21 @@ mod avx512 {
 
     #[inline]
     #[target_feature(enable = "avx512f")]
+    unsafe fn sub(x: V, y: V) -> V {
+        _mm512_sub_pd(x, y)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
     unsafe fn mul(x: V, y: V) -> V {
         _mm512_mul_pd(x, y)
+    }
+
+    /// `pos` in the lanes where `y > 0` (false for NaN), else `neg`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn select_pos(y: V, pos: V, neg: V) -> V {
+        _mm512_mask_blend_pd(_mm512_cmp_pd_mask::<_CMP_GT_OQ>(y, zero()), neg, pos)
     }
 
     #[inline]
@@ -765,9 +1031,9 @@ mod tests {
     }
 
     /// Value mixes: mostly normal values with signed zeros and subnormals;
-    /// the same with ±Inf and overflowing magnitudes (so results hold ±Inf
-    /// and NaN); and only zeros and subnormals, whose products underflow to
-    /// signed zeros.
+    /// the same with NaN, ±Inf and overflowing magnitudes (so results hold
+    /// ±Inf and NaN); and only zeros and subnormals, whose products
+    /// underflow to signed zeros.
     #[derive(Clone, Copy, Debug)]
     enum Mix {
         Finite,
@@ -791,6 +1057,7 @@ mod tests {
                     (_, 2 | 3) => subnormal,
                     (Mix::NonFinite, 4) => sign * f64::INFINITY,
                     (Mix::NonFinite, 5) => sign * 1e300,
+                    (Mix::NonFinite, 6) => f64::NAN,
                     (Mix::Tiny, 4..=15) => subnormal,
                     (Mix::Tiny, _) => sign * 0.0,
                     _ => normal,
@@ -854,6 +1121,34 @@ mod tests {
         ]
     }
 
+    const ACTIVATIONS: [Activation; 4] = [
+        Activation::Identity,
+        Activation::LeakyRelu,
+        Activation::Sigmoid,
+        Activation::Tanh,
+    ];
+
+    /// `tier`'s epilogues over `x` (`rows x bias.len()`): `bias_act` of `x`
+    /// and `local_grad` with `x` as the gradient and `y` as the output, per
+    /// activation; and `sum_rows` of `x`.
+    fn epilogues(tier: &Tier, x: &[f64], y: &[f64], bias: &[f64]) -> Vec<(String, Vec<f64>)> {
+        let mut outs = Vec::new();
+        // SAFETY (every call): `simd_tiers` checked the CPU features.
+        for act in ACTIVATIONS {
+            let mut out = x.to_vec();
+            unsafe { (tier.bias_act)(&mut out, bias, act) };
+            outs.push((format!("bias_act {act:?}"), out));
+            // Stale contents must never reach the result.
+            let mut out = vec![f64::NAN; x.len()];
+            unsafe { (tier.local_grad)(&mut out, x, y, act) };
+            outs.push((format!("local_grad {act:?}"), out));
+        }
+        let mut out = vec![f64::NAN; bias.len()];
+        unsafe { (tier.sum_rows)(x, &mut out) };
+        outs.push(("sum_rows".to_string(), out));
+        outs
+    }
+
     #[test]
     fn simd_bodies_match_the_scalar_bodies_bit_for_bit() {
         let tiers = simd_tiers();
@@ -871,6 +1166,28 @@ mod tests {
                     let got = products(tier, &a, &b, &bt, (m, k, n));
                     for ((name, w), g) in NAMES.iter().zip(&want).zip(&got) {
                         let what = format!("{tier_name} {name} {m}x{k}x{n} {mix:?}");
+                        assert_same_bits(w, g, &what);
+                    }
+                }
+            }
+            // Every width in 1..=70, so every vector tail; row counts up to
+            // a batch and past it.
+            const ROWS: [usize; 8] = [1, 2, 3, 5, 8, 13, 64, 70];
+            for n in 1..=70 {
+                let rows = ROWS[n % ROWS.len()];
+                let salt = 1000 + n as u64 * 3;
+                let bias = values(n, salt, mix);
+                let mut x = values(rows * n, salt + 1, mix);
+                let y = values(rows * n, salt + 2, mix);
+                // Some sums are exactly zero before the activation.
+                for (e, v) in x.iter_mut().enumerate().step_by(5) {
+                    *v = -bias[e % n];
+                }
+                let want = epilogues(&SCALAR, &x, &y, &bias);
+                for &(tier_name, tier) in &tiers {
+                    let got = epilogues(tier, &x, &y, &bias);
+                    for ((name, w), (_, g)) in want.iter().zip(&got) {
+                        let what = format!("{tier_name} {name} {rows}x{n} {mix:?}");
                         assert_same_bits(w, g, &what);
                     }
                 }

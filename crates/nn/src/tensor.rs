@@ -1,3 +1,4 @@
+use crate::layers::LEAKY_SLOPE;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -287,9 +288,15 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
+        if self.data.is_empty() {
+            return;
         }
+        // `self += other` is the identity bias add of one row as wide as
+        // the whole buffer.
+        let bias_act = crate::simd64::tier().bias_act;
+        // SAFETY: the tier was selected under runtime feature detection,
+        // and the shapes (so the lengths) were asserted equal above.
+        unsafe { bias_act(&mut self.data, &other.data, crate::Activation::Identity) };
     }
 
     /// Sets every element to zero, keeping the allocation.
@@ -468,20 +475,15 @@ impl Tensor {
         out
     }
 
-    /// Like [`Tensor::sum_rows`], writing into `out`'s buffer. One row-wise
-    /// pass: column `c` still starts from `0.0` and adds rows in increasing
-    /// order.
+    /// Like [`Tensor::sum_rows`], writing into `out`'s buffer. Column `c`
+    /// starts from `0.0` and adds the rows in increasing order.
     pub(crate) fn sum_rows_into(&self, out: &mut Tensor) {
         out.resize_uninit(1, self.cols);
-        out.data.fill(0.0);
         if self.cols == 0 {
             return;
         }
-        for row in self.data.chunks_exact(self.cols) {
-            for (o, &v) in out.data.iter_mut().zip(row) {
-                *o += v;
-            }
-        }
+        // SAFETY: the tier was selected under runtime feature detection.
+        unsafe { (crate::simd64::tier().sum_rows)(&self.data, &mut out.data) };
     }
 
     /// Copies columns `[start, end)` into a new tensor.
@@ -567,6 +569,27 @@ pub(crate) fn leaky_relu(x: f64, slope: f64) -> f64 {
         x
     } else {
         slope * x
+    }
+}
+
+/// Sigmoid's derivative, from its output `y`.
+pub(crate) fn sigmoid_slope(y: f64) -> f64 {
+    y * (1.0 - y)
+}
+
+/// Tanh's derivative, from its output `y`.
+pub(crate) fn tanh_slope(y: f64) -> f64 {
+    1.0 - y * y
+}
+
+/// [`Activation::LeakyRelu`](crate::Activation::LeakyRelu)'s derivative,
+/// from its output `y`: with a positive slope, `y > 0` exactly when the
+/// input is.
+pub(crate) fn leaky_slope_of_output(y: f64) -> f64 {
+    if y > 0.0 {
+        1.0
+    } else {
+        LEAKY_SLOPE
     }
 }
 

@@ -147,8 +147,10 @@ impl EdpGradBatch {
         let xi = g.leaf(std::mem::replace(&mut self.xs, Tensor::zeros(0, 0)));
         let li = g.constant(std::mem::replace(&mut self.layer_rep, Tensor::zeros(0, 0)));
         let joined = g.concat_cols(xi, li);
-        let lat = latency.forward(g, joined);
-        let en = energy.forward(g, joined);
+        // The heads' weights are read, not trained: frozen leaves skip
+        // their gradient products.
+        let lat = latency.forward_frozen(g, joined);
+        let en = energy.forward_frozen(g, joined);
         let lat_w = g.scale(lat.output, w_lat);
         let en_w = g.scale(en.output, w_en);
         let sum = g.add(lat_w, en_w);
@@ -394,8 +396,8 @@ impl VaesaModel {
         let zi = g.leaf(Tensor::row_vector(z));
         let li = g.constant(Tensor::row_vector(layer));
         let joined = g.concat_cols(zi, li);
-        let lat = self.latency_predictor.forward(&mut g, joined);
-        let en = self.energy_predictor.forward(&mut g, joined);
+        let lat = self.latency_predictor.forward_frozen(&mut g, joined);
+        let en = self.energy_predictor.forward_frozen(&mut g, joined);
         let lat_w = g.scale(lat.output, w_lat);
         let en_w = g.scale(en.output, w_en);
         let sum = g.add(lat_w, en_w);
@@ -586,6 +588,71 @@ mod tests {
                 for (d, (bg, sg)) in grads[r * 3..(r + 1) * 3].iter().zip(&g).enumerate() {
                     assert_eq!(bg.to_bits(), sg.to_bits(), "row {r} grad dim {d}");
                 }
+            }
+        }
+    }
+
+    /// The proxy recorded with trainable weights ([`Mlp::forward`]) on a
+    /// fresh tape, as [`EdpGradBatch::proxy_grad`] records it with frozen
+    /// ones: the tape, the passes, the input leaf, the per-row values and
+    /// the input gradients.
+    fn param_proxy(
+        (latency, energy): (&Mlp, &Mlp),
+        xs: &[f64],
+        (batch, dim): (usize, usize),
+        layer: &[f64],
+    ) -> (Graph, [MlpPass; 2], Vec<f64>, Vec<f64>) {
+        let mut g = Graph::new();
+        let xi = g.leaf(Tensor::from_vec(batch, dim, xs.to_vec()));
+        let rows: Vec<&[f64]> = vec![layer; batch];
+        let li = g.constant(Tensor::from_rows(&rows));
+        let joined = g.concat_cols(xi, li);
+        let lat = latency.forward(&mut g, joined);
+        let en = energy.forward(&mut g, joined);
+        let lat_w = g.scale(lat.output, 1.7);
+        let en_w = g.scale(en.output, 2.3);
+        let sum = g.add(lat_w, en_w);
+        let loss = g.sum_all(sum);
+        let values = g.value(sum).as_slice().to_vec();
+        g.backward(loss);
+        let grads = g.grad(xi).unwrap().as_slice().to_vec();
+        (g, [lat, en], values, grads)
+    }
+
+    #[test]
+    fn proxies_read_frozen_weights_with_the_trainable_bits() {
+        let m = model(4);
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let preds = crate::InputPredictors::new(&[64, 32], &mut rng);
+        let layer = [0.1, 0.9, 0.5, 0.0, 0.3, 0.7, 0.2, 0.6];
+        let batch = 10;
+        let heads = [
+            (&m.latency_predictor, &m.energy_predictor, 4),
+            (&preds.latency, &preds.energy, HW_FEATURES),
+        ];
+        let mut scratch = EdpGradBatch::default();
+        for (latency, energy, dim) in heads {
+            let xs: Vec<f64> = (0..batch * dim).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let (values, grads) =
+                scratch.proxy_grad((latency, energy), &xs, (batch, dim), &layer, (1.7, 2.3));
+            let (reference, passes, want_values, want_grads) =
+                param_proxy((latency, energy), &xs, (batch, dim), &layer);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&values), bits(&want_values), "dim {dim} values");
+            assert_eq!(bits(&grads), bits(&want_grads), "dim {dim} input gradients");
+            // Both tapes record the same nodes in the same slots, so the
+            // reference passes' ids name the proxy's weight and bias leaves.
+            assert_eq!(scratch.g.len(), reference.len());
+            for (w, b) in passes.iter().flat_map(MlpPass::param_ids) {
+                assert!(reference.grad(w).is_some() && reference.grad(b).is_some());
+                assert!(
+                    scratch.g.grad(w).is_none(),
+                    "dim {dim}: weight {w:?} has a gradient"
+                );
+                assert!(
+                    scratch.g.grad(b).is_none(),
+                    "dim {dim}: bias {b:?} has a gradient"
+                );
             }
         }
     }

@@ -338,8 +338,8 @@ impl InputPredictors {
         let x = g.leaf(Tensor::row_vector(hw));
         let l = g.constant(Tensor::row_vector(layer));
         let joined = g.concat_cols(x, l);
-        let lat = self.latency.forward(&mut g, joined);
-        let en = self.energy.forward(&mut g, joined);
+        let lat = self.latency.forward_frozen(&mut g, joined);
+        let en = self.energy.forward_frozen(&mut g, joined);
         let lat_w = g.scale(lat.output, w_lat);
         let en_w = g.scale(en.output, w_en);
         let sum = g.add(lat_w, en_w);
