@@ -155,12 +155,6 @@ pub fn init_run_meta(bin: &str, args: &Args) {
 pub fn write_run_manifest(out_dir: &Path, scheduler: Option<&CachedScheduler>) -> PathBuf {
     let registry = vaesa_obs::global();
     if let Some(scheduler) = scheduler {
-        // End-of-run is the last guaranteed point to sync the persistent
-        // evaluation log; fsync batching may still be holding a partial
-        // batch that the next (warm) run would otherwise recompute.
-        if let Err(e) = scheduler.flush_persistent() {
-            eprintln!("warning: persistent eval cache flush failed: {e}");
-        }
         scheduler.publish_stats(registry, "scheduler");
     }
     if let Some(rss) = vaesa_obs::peak_rss_bytes() {
@@ -215,13 +209,11 @@ pub struct Setup {
 }
 
 impl Setup {
-    /// Creates the standard setup. With `VAESA_EVAL_CACHE` set, the
-    /// scheduler is backed by the persistent cross-run evaluation cache,
-    /// so figure/ablation reruns replay prior evaluations from disk.
+    /// Creates the standard setup with an empty in-memory scheduler memo.
     pub fn new() -> Self {
         Setup {
             space: DesignSpace::paper(),
-            scheduler: CachedScheduler::from_env(),
+            scheduler: CachedScheduler::default(),
         }
     }
 

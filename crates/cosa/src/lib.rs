@@ -31,23 +31,18 @@
 //! ```
 
 mod mapper;
-mod persist;
 
 pub use mapper::random_mapping;
-pub use persist::EvalCacheLog;
 
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::io;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use vaesa_accel::{ArchDescription, LayerShape};
 use vaesa_timeloop::{CostModel, Evaluation, Mapping, PreparedModel};
 
 /// A mapping chosen by the scheduler together with its evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scheduled {
     /// The chosen loop-nest mapping.
     pub mapping: Mapping,
@@ -363,23 +358,9 @@ impl Scheduler {
     }
 }
 
-/// The identity a scheduling result is cached (and persisted) under.
-pub type CacheKey = (ArchDescription, LayerShape);
-
-/// A [`CacheKey`] inside the memo table: the layer is replaced by its id in
-/// the table's [`LayerInterner`], so a key is plain data.
+/// The memo table's key: an `(arch, layer)` pair with the layer replaced by
+/// its id in the table's [`LayerInterner`], so a key is plain data.
 type MemoKey = (ArchDescription, u32);
-
-/// Where a memoized entry stands relative to the persistent log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backing {
-    /// In-memory only (no persistence attached to this cache).
-    None,
-    /// Appended to the log by this process (on the miss that created it).
-    Logged,
-    /// Loaded from the log at startup — written by a previous process.
-    Warm,
-}
 
 /// One memoized scheduling result plus its second-chance reference bit.
 #[derive(Debug)]
@@ -387,19 +368,17 @@ struct CacheEntry {
     /// The cost, or `None` for a cached "no valid mapping".
     cost: Option<LayerCost>,
     referenced: bool,
-    backing: Backing,
 }
 
 // One table slot is 88 bytes on 64-bit targets; keep entries from growing
 // back towards a full `Scheduled`.
 const _: () = assert!(std::mem::size_of::<(MemoKey, CacheEntry)>() <= 96);
 
-/// Maps each distinct layer (name included) to a small id and back. Layer
-/// sets are small — tens of layers per network — so ids are never freed.
+/// Maps each distinct layer (name included) to a small id. Layer sets are
+/// small — tens of layers per network — so ids are never freed.
 #[derive(Debug, Default)]
 struct LayerInterner {
     ids: HashMap<LayerShape, u32>,
-    layers: Vec<LayerShape>,
 }
 
 impl LayerInterner {
@@ -407,14 +386,9 @@ impl LayerInterner {
         if let Some(&id) = self.ids.get(layer) {
             return id;
         }
-        let id = u32::try_from(self.layers.len()).expect("fewer than 2^32 distinct layers");
+        let id = u32::try_from(self.ids.len()).expect("fewer than 2^32 distinct layers");
         self.ids.insert(layer.clone(), id);
-        self.layers.push(layer.clone());
         id
-    }
-
-    fn layer(&self, id: u32) -> &LayerShape {
-        &self.layers[id as usize]
     }
 }
 
@@ -459,10 +433,6 @@ pub struct CachedScheduler {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    persist: Option<EvalCacheLog>,
-    persistent_hits: AtomicU64,
-    persistent_warm_hits: AtomicU64,
-    flush_on_evict: AtomicU64,
 }
 
 /// Clears a key's in-flight mark if scheduling it unwinds, so callers
@@ -531,41 +501,6 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// A point-in-time snapshot of the persistent evaluation-cache layer, for
-/// caches built with [`CachedScheduler::with_persistence`].
-///
-/// Kept separate from [`CacheStats`] (which describes the in-memory memo
-/// table regardless of persistence) so the two layers can be reported and
-/// asserted independently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PersistStats {
-    /// Entries loaded from the log at startup.
-    pub loaded: u64,
-    /// Torn or malformed log lines dropped (and healed) at startup.
-    pub recovered: u64,
-    /// Records appended to the log by this process.
-    pub appends: u64,
-    /// Cache hits on log-backed entries (loaded at startup *or* appended
-    /// during this process's lifetime).
-    pub hits: u64,
-    /// Cache hits on entries written by a *previous* process — the subset
-    /// of `hits` that proves the cache survived process death.
-    pub warm_hits: u64,
-    /// Dirty (not-yet-fsynced) entries flushed to the log at the moment
-    /// second-chance eviction would otherwise have discarded them.
-    pub flush_on_evict: u64,
-}
-
-impl std::fmt::Display for PersistStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} loaded, {} appended, {} persistent hits ({} warm, {} flushed on evict, {} lines recovered)",
-            self.loaded, self.appends, self.hits, self.warm_hits, self.flush_on_evict, self.recovered
-        )
-    }
-}
-
 impl CachedScheduler {
     /// Default cache bound: large enough that every `--fast` pipeline and
     /// perfbench workload runs without evicting, small enough to cap memory
@@ -596,88 +531,12 @@ impl CachedScheduler {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            persist: None,
-            persistent_hits: AtomicU64::new(0),
-            persistent_warm_hits: AtomicU64::new(0),
-            flush_on_evict: AtomicU64::new(0),
         }
-    }
-
-    /// Wraps a scheduler with a cache backed by the persistent evaluation
-    /// log at `dir` (created if absent). Entries recorded by previous
-    /// processes are pre-loaded into the memo table (at most `capacity` of
-    /// them), and every miss computed by this cache is appended to the log,
-    /// so evaluation work accumulates across process lifetimes.
-    ///
-    /// # Errors
-    ///
-    /// Fails only on I/O errors opening or compacting the log directory;
-    /// damaged log *content* is recovered, not fatal (see
-    /// [`EvalCacheLog::open`]).
-    pub fn with_persistence(
-        inner: Scheduler,
-        capacity: usize,
-        dir: impl AsRef<Path>,
-    ) -> io::Result<Self> {
-        let mut cache = Self::with_capacity(inner, capacity);
-        let (log, entries) = EvalCacheLog::open(dir)?;
-        {
-            let state = cache.state.get_mut().expect("cache lock");
-            // Each full logged result shrinks to its cost as it loads.
-            for ((arch, layer), result) in entries.into_iter().take(capacity) {
-                let key = (arch, state.layers.intern(&layer));
-                state.queue.push_back(key);
-                state.map.insert(
-                    key,
-                    CacheEntry {
-                        cost: result.ok().map(|s| s.cost()),
-                        referenced: false,
-                        backing: Backing::Warm,
-                    },
-                );
-            }
-        }
-        cache.persist = Some(log);
-        Ok(cache)
-    }
-
-    /// Builds the scheduler the environment asks for: persistent (rooted at
-    /// `$VAESA_EVAL_CACHE`) when the variable is set and non-empty,
-    /// otherwise a plain in-memory cache. An unusable cache directory is
-    /// reported to stderr and degrades to in-memory rather than failing the
-    /// run — the cache is an accelerator, never a correctness dependency.
-    pub fn from_env() -> Self {
-        match std::env::var("VAESA_EVAL_CACHE") {
-            Ok(dir) if !dir.is_empty() => {
-                match Self::with_persistence(Scheduler::default(), Self::DEFAULT_CAPACITY, &dir) {
-                    Ok(cache) => cache,
-                    Err(e) => {
-                        eprintln!(
-                            "vaesa-cosa: VAESA_EVAL_CACHE={dir} is unusable ({e}); \
-                             continuing without persistence"
-                        );
-                        Self::default()
-                    }
-                }
-            }
-            _ => Self::default(),
-        }
-    }
-
-    /// The maximum number of entries the cache will hold.
-    pub fn cache_capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The persistent log directory, when persistence is attached.
-    pub fn persistence_dir(&self) -> Option<&Path> {
-        self.persist.as_ref().map(|log| log.dir())
     }
 
     /// Cached version of [`Scheduler::schedule`], returning the layer's
     /// [`LayerCost`]. A lookup allocates nothing unless it meets a layer
-    /// for the first time, misses with persistence attached (the log
-    /// records the full result), or returns an error.
+    /// for the first time or returns an error.
     ///
     /// When several callers miss the same key at once, one schedules it and
     /// the others wait for its entry and count as hits.
@@ -696,16 +555,6 @@ impl CachedScheduler {
             if let Some(entry) = state.map.get_mut(&key) {
                 entry.referenced = true;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                match entry.backing {
-                    Backing::None => {}
-                    Backing::Logged => {
-                        self.persistent_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Backing::Warm => {
-                        self.persistent_hits.fetch_add(1, Ordering::Relaxed);
-                        self.persistent_warm_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
                 return entry.cost.ok_or_else(|| no_valid_mapping(layer));
             }
             match state.in_flight.get_mut(&key) {
@@ -722,15 +571,8 @@ impl CachedScheduler {
         let flight = InFlight { cache: self, key };
         // Compute outside the lock so misses on distinct keys schedule in
         // parallel.
-        let result = self.inner.schedule(arch, layer);
+        let cost = self.inner.schedule(arch, layer).map(|s| s.cost());
         let mut state = self.state.lock().expect("cache lock");
-        let backing = match &self.persist {
-            Some(log) => {
-                log.append(&(*arch, layer.clone()), &result);
-                Backing::Logged
-            }
-            None => Backing::None,
-        };
         while state.map.len() >= self.capacity {
             let victim = state.queue.pop_front().expect("queue tracks map");
             let recycled = {
@@ -742,29 +584,16 @@ impl CachedScheduler {
             if recycled {
                 state.queue.push_back(victim);
             } else {
-                // A dirty victim (appended to the log but not yet fsynced)
-                // must reach disk before the memo table forgets it, or a
-                // crash after eviction would lose the result.
-                if let Some(log) = &self.persist {
-                    let logged = state.map.get(&victim).expect("queued keys are mapped");
-                    if logged.backing == Backing::Logged
-                        && log.flush_key(&(victim.0, state.layers.layer(victim.1).clone()))
-                    {
-                        self.flush_on_evict.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
                 state.map.remove(&victim);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let cost = result.map(|s| s.cost());
         state.queue.push_back(key);
         let previous = state.map.insert(
             key,
             CacheEntry {
                 cost: cost.as_ref().ok().copied(),
                 referenced: false,
-                backing,
             },
         );
         debug_assert!(previous.is_none(), "only the in-flight caller inserts");
@@ -805,32 +634,6 @@ impl CachedScheduler {
         }
     }
 
-    /// Counters for the persistent layer, or `None` for in-memory caches.
-    pub fn persist_stats(&self) -> Option<PersistStats> {
-        self.persist.as_ref().map(|log| PersistStats {
-            loaded: log.loaded_entries(),
-            recovered: log.recovered_lines(),
-            appends: log.appends(),
-            hits: self.persistent_hits.load(Ordering::Relaxed),
-            warm_hits: self.persistent_warm_hits.load(Ordering::Relaxed),
-            flush_on_evict: self.flush_on_evict.load(Ordering::Relaxed),
-        })
-    }
-
-    /// Forces every buffered log record to disk (write + fsync). A no-op
-    /// for in-memory caches. Call at the end of a run; the log's `Drop`
-    /// also flushes, so this exists for explicit error handling.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first shard's I/O error; remaining shards still flush.
-    pub fn flush_persistent(&self) -> io::Result<()> {
-        match &self.persist {
-            Some(log) => log.flush(),
-            None => Ok(()),
-        }
-    }
-
     /// Publishes a [`CachedScheduler::cache_stats`] snapshot as gauges
     /// `{prefix}.hits`, `{prefix}.misses`, `{prefix}.entries`,
     /// `{prefix}.evictions`, and `{prefix}.hit_rate` on `registry`.
@@ -860,26 +663,6 @@ impl CachedScheduler {
         registry
             .gauge(&format!("{prefix}.hit_rate"))
             .set(stats.hit_rate());
-        if let Some(p) = self.persist_stats() {
-            registry
-                .gauge(&format!("{prefix}.persistent.loaded"))
-                .set(p.loaded as f64);
-            registry
-                .gauge(&format!("{prefix}.persistent.recovered"))
-                .set(p.recovered as f64);
-            registry
-                .gauge(&format!("{prefix}.persistent.appends"))
-                .set(p.appends as f64);
-            registry
-                .gauge(&format!("{prefix}.persistent.hits"))
-                .set(p.hits as f64);
-            registry
-                .gauge(&format!("{prefix}.persistent.warm_hits"))
-                .set(p.warm_hits as f64);
-            registry
-                .gauge(&format!("{prefix}.persistent.flush_on_evict"))
-                .set(p.flush_on_evict as f64);
-        }
     }
 }
 
@@ -1095,7 +878,6 @@ mod tests {
                 CacheEntry {
                     cost: Some(want),
                     referenced: false,
-                    backing: Backing::None,
                 },
             );
             drop(state);
@@ -1183,7 +965,6 @@ mod tests {
     #[test]
     fn bounded_cache_never_exceeds_capacity() {
         let cached = CachedScheduler::with_capacity(Scheduler::default(), 3);
-        assert_eq!(cached.cache_capacity(), 3);
         for i in 1..=8 {
             let fc = LayerShape::fully_connected("fc", 64 * i, 64);
             cached.schedule(&arch(), &fc).unwrap();
@@ -1230,142 +1011,6 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_cache_is_rejected() {
         let _ = CachedScheduler::with_capacity(Scheduler::default(), 0);
-    }
-
-    fn cache_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "vaesa-cosa-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn persistent_cache_survives_process_death() {
-        let dir = cache_dir("survive");
-        {
-            let cached = CachedScheduler::with_persistence(Scheduler::default(), 64, &dir).unwrap();
-            cached.schedule(&arch(), &conv()).unwrap(); // miss → logged
-            cached.schedule(&arch(), &conv()).unwrap(); // hit on a logged entry
-            let p = cached.persist_stats().unwrap();
-            assert_eq!((p.loaded, p.appends, p.hits, p.warm_hits), (0, 1, 1, 0));
-            cached.flush_persistent().unwrap();
-        }
-        // "A new process": same cache dir, fresh scheduler.
-        let cached = CachedScheduler::with_persistence(Scheduler::default(), 64, &dir).unwrap();
-        assert_eq!(cached.persist_stats().unwrap().loaded, 1);
-        assert_eq!(cached.cache_len(), 1);
-        cached.schedule(&arch(), &conv()).unwrap();
-        let stats = cached.cache_stats();
-        assert_eq!(
-            (stats.hits, stats.misses),
-            (1, 0),
-            "a warm entry must serve without re-running the scheduler"
-        );
-        let p = cached.persist_stats().unwrap();
-        assert_eq!((p.hits, p.warm_hits), (1, 1));
-        drop(cached);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn dirty_eviction_flushes_to_the_log_first() {
-        let dir = cache_dir("evictflush");
-        let a = conv();
-        let b = LayerShape::fully_connected("fc", 128, 64);
-        {
-            let cached = CachedScheduler::with_persistence(Scheduler::default(), 1, &dir).unwrap();
-            cached.schedule(&arch(), &a).unwrap(); // logged, still buffered
-            cached.schedule(&arch(), &b).unwrap(); // evicts `a` → flush first
-            let p = cached.persist_stats().unwrap();
-            assert_eq!(p.flush_on_evict, 1);
-            assert_eq!(cached.cache_stats().evictions, 1);
-        }
-        // `a` reached disk at eviction time, `b` at drop: both load back.
-        let cached = CachedScheduler::with_persistence(Scheduler::default(), 8, &dir).unwrap();
-        assert_eq!(cached.persist_stats().unwrap().loaded, 2);
-        let before = cached.cache_stats().misses;
-        cached.schedule(&arch(), &a).unwrap();
-        assert_eq!(
-            cached.cache_stats().misses,
-            before,
-            "evicted entry came back warm"
-        );
-        drop(cached);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A log holds full `Scheduled` results (mapping and evaluation). The
-    /// fixture's result record was logged by `vaesa-cli eval` when the memo
-    /// still kept whole results, and its "no valid mapping" record is in
-    /// the same format. Both load warm as costs and hit with the bits a
-    /// fresh schedule gives.
-    #[test]
-    fn a_log_of_full_results_loads_warm_as_costs() {
-        let dir = cache_dir("fullrecords");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("shard-00.jsonl"),
-            include_str!("../tests/data/full_scheduled.jsonl"),
-        )
-        .unwrap();
-        let cached = CachedScheduler::with_persistence(Scheduler::default(), 64, &dir).unwrap();
-        assert_eq!(cached.cache_len(), 2);
-
-        let plain = Scheduler::default();
-        let mut a = ArchDescription {
-            pe_count: 64,
-            macs_per_pe: 768,
-            accum_buf_bytes: 11520,
-            weight_buf_bytes: 93696,
-            input_buf_bytes: 91264,
-            global_buf_bytes: 129814,
-        };
-        let conv5 = LayerShape::new("conv5", 3, 3, 13, 13, 256, 256, 1, 1);
-        let want = plain.schedule(&a, &conv5).unwrap().cost();
-        assert_eq!(bits(&cached.schedule(&a, &conv5).unwrap()), bits(&want));
-        a.global_buf_bytes = 16;
-        let conv1 = LayerShape::new("conv1", 11, 11, 55, 55, 3, 64, 4, 4);
-        assert_eq!(
-            cached.schedule(&a, &conv1).unwrap_err(),
-            plain.schedule(&a, &conv1).unwrap_err()
-        );
-
-        let stats = cached.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (2, 0));
-        assert_eq!(cached.persist_stats().unwrap().warm_hits, 2);
-        drop(cached);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn persistent_gauges_publish_under_the_prefix() {
-        let dir = cache_dir("gauges");
-        let cached = CachedScheduler::with_persistence(Scheduler::default(), 64, &dir).unwrap();
-        cached.schedule(&arch(), &conv()).unwrap();
-        cached.schedule(&arch(), &conv()).unwrap();
-        let registry = vaesa_obs::Registry::new();
-        cached.publish_stats(&registry, "scheduler");
-        let gauge = |name: &str| registry.gauge(name).get();
-        assert_eq!(gauge("scheduler.persistent.hits"), 1.0);
-        assert_eq!(gauge("scheduler.persistent.appends"), 1.0);
-        assert_eq!(gauge("scheduler.persistent.warm_hits"), 0.0);
-        assert_eq!(gauge("scheduler.persistent.flush_on_evict"), 0.0);
-        drop(cached);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn from_env_defaults_to_in_memory() {
-        // Without VAESA_EVAL_CACHE in this test process, from_env must
-        // build a plain cache with no persistence attached.
-        if std::env::var("VAESA_EVAL_CACHE").is_err() {
-            let cached = CachedScheduler::from_env();
-            assert!(cached.persist_stats().is_none());
-            assert!(cached.persistence_dir().is_none());
-        }
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! across every connection handler and search worker.
 //!
 //! Startup mirrors the experiment pipeline: sample a labeled dataset
-//! through the cached scheduler (hitting the persistent evaluation cache
-//! when `VAESA_EVAL_CACHE` points at a warm directory), train the VAE +
+//! through the cached scheduler, train the VAE +
 //! predictor heads, and fit a GP surrogate over encoded latent points so
 //! `/predict` can report both the head's latency/energy estimates and the
 //! GP's EDP posterior. Handlers construct the borrowing
@@ -109,7 +108,7 @@ impl ServeCore {
     pub fn build(config: &CoreConfig) -> Self {
         let span = vaesa_obs::global().span("serve/build");
         let space = DesignSpace::paper();
-        let scheduler = CachedScheduler::from_env();
+        let scheduler = CachedScheduler::default();
         let mut layers = workloads::training_layers();
         layers.truncate(config.n_layers.max(1));
 
@@ -159,7 +158,7 @@ impl ServeCore {
         &self.layers
     }
 
-    /// The shared scheduler, for stats publication and persistence flush.
+    /// The shared scheduler, for stats publication.
     pub fn scheduler(&self) -> &CachedScheduler {
         &self.scheduler
     }

@@ -13,15 +13,13 @@
 //! | `/decode`         | POST   | Latent rows → snapped designs + true EDP         |
 //! | `/search`         | POST   | Enqueue an async [`DseDriver`] search job        |
 //! | `/jobs/<id>`      | GET    | Poll a search job                                |
-//! | `/shutdown`       | POST   | Graceful stop (flushes the persistent cache)     |
+//! | `/shutdown`       | POST   | Graceful stop (finishes queued searches)         |
 //!
 //! Concurrent `/predict` and `/decode` requests are coalesced by the
 //! admission queue ([`coalesce::Batcher`]) into single batched-model
 //! invocations; `/search` jobs run on a bounded [`WorkerPool`].
-//! All true evaluations funnel through one [`CachedScheduler`], so with
-//! `VAESA_EVAL_CACHE` set, every schedule computed for any tenant lands in
-//! the persistent cross-run evaluation cache and is served from disk after
-//! a restart.
+//! All true evaluations funnel through one [`CachedScheduler`], so a
+//! schedule computed for any tenant is a memo hit for every later one.
 //!
 //! The accept loop blocks in `accept()` and hands each connection to its
 //! own handler thread, at most [`MAX_HANDLERS`] at once; a connection
@@ -207,7 +205,7 @@ fn set_io_timeouts(stream: &TcpStream) -> io::Result<()> {
 /// `accept()`, and up to [`MAX_HANDLERS`] handlers, one thread per
 /// connection. `POST /shutdown` wakes the accept loop with a loopback
 /// connection; [`Server::join`] then returns once queued searches have
-/// finished and the persistent cache is flushed.
+/// finished.
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
@@ -295,15 +293,12 @@ fn accept_loop(listener: TcpListener, state: Arc<ServeState>) {
             }
         }
     }
-    // Graceful stop: finish queued searches, then persist what they learned.
+    // Graceful stop: finish queued searches, then flush the access log.
     let mut state = state;
     loop {
         match Arc::try_unwrap(state) {
             Ok(mut owned) => {
                 owned.pool.shutdown();
-                if let Err(e) = owned.core.scheduler().flush_persistent() {
-                    eprintln!("vaesa-serve: persistent cache flush failed: {e}");
-                }
                 owned.telemetry.flush();
                 break;
             }
@@ -406,10 +401,9 @@ fn handle_healthz(state: &ServeState) -> Response {
     Response::json(
         200,
         format!(
-            "{{\"status\":\"ok\",\"latent_dim\":{},\"layers\":{},\"persistent_cache\":{}}}",
+            "{{\"status\":\"ok\",\"latent_dim\":{},\"layers\":{}}}",
             state.core.latent_dim(),
             state.core.layers().len(),
-            state.core.scheduler().persistence_dir().is_some(),
         ),
     )
 }

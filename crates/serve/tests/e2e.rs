@@ -1,15 +1,13 @@
 //! End-to-end daemon tests over real TCP.
 //!
-//! The main test boots the server on an ephemeral port with a persistent
-//! evaluation cache, drives every endpoint, shuts down cleanly, then boots
-//! a second daemon against the same cache directory and proves the cache
-//! survived the restart (warm hits > 0). It is one `#[test]` because
-//! `VAESA_EVAL_CACHE` is process-global state and the restart half depends
-//! on the first half's writes. The connection-lifecycle tests (shutdown
-//! wake-up, stalled clients, the handler cap) share one in-memory core.
+//! The main test boots the server on an ephemeral port, drives every
+//! endpoint and shuts down cleanly. The connection-lifecycle tests
+//! (shutdown wake-up, stalled clients, the handler cap) share one core.
 //!
-//! Every test holds [`ENV_LOCK`], so no core is built while the main test
-//! has `VAESA_EVAL_CACHE` set.
+//! Every test holds [`REGISTRY_LOCK`]: each daemon publishes its
+//! scheduler's counters as `scheduler.*` gauges into the process-global
+//! metrics registry whenever `/metrics` is read, so two daemons running at
+//! once would overwrite each other's values.
 
 use serde::Value;
 use std::io::{Read, Write};
@@ -19,11 +17,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use vaesa_serve::{http_request, CoreConfig, ServeConfig, ServeCore, Server, MAX_HANDLERS};
 
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
 
-fn env_lock() -> MutexGuard<'static, ()> {
+fn registry_lock() -> MutexGuard<'static, ()> {
     // A test that failed while holding the lock leaves no state behind.
-    ENV_LOCK
+    REGISTRY_LOCK
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -69,6 +67,13 @@ fn metric(manifest: &str, name: &str) -> Option<f64> {
     })
 }
 
+/// The daemon's `scheduler.hits` gauge, published fresh by this scrape.
+fn scheduler_hits(addr: &str) -> f64 {
+    let (status, manifest) = get(addr, "/metrics?format=manifest&name=scheduler.hits");
+    assert_eq!(status, 200, "{manifest}");
+    metric(&manifest, "scheduler.hits").expect("scheduler.hits gauge")
+}
+
 fn poll_job_done(addr: &str, id: u64) -> Value {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
@@ -112,7 +117,7 @@ fn shutdown_and_join(addr: &str, server: Server) {
 
 #[test]
 fn shutdown_wakes_the_blocked_accept() {
-    let _env = env_lock();
+    let _registry = registry_lock();
     let core = Arc::new(ServeCore::build(&tiny_config("127.0.0.1:0", 5).core));
     for cycle in 0..5 {
         let server = Server::start_with_core(tiny_config("127.0.0.1:0", 5), Arc::clone(&core))
@@ -132,7 +137,7 @@ fn shutdown_wakes_the_blocked_accept() {
 
 #[test]
 fn stalled_clients_do_not_block_others_and_the_cap_sheds_with_503() {
-    let _env = env_lock();
+    let _registry = registry_lock();
     let core = Arc::new(ServeCore::build(&tiny_config("127.0.0.1:0", 6).core));
     let server = Server::start_with_core(tiny_config("127.0.0.1:0", 6), core).expect("start");
     let addr = server.addr().to_string();
@@ -186,13 +191,8 @@ fn stalled_clients_do_not_block_others_and_the_cap_sheds_with_503() {
 }
 
 #[test]
-fn daemon_serves_all_endpoints_and_cache_survives_restart() {
-    let _env = env_lock();
-    let cache_dir = std::env::temp_dir().join(format!("vaesa-serve-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    std::env::set_var("VAESA_EVAL_CACHE", &cache_dir);
-
-    // ---- First daemon: cold cache. ----
+fn daemon_serves_all_endpoints_and_repeated_searches_hit_the_memo() {
+    let _registry = registry_lock();
     let server = Server::start(tiny_config("127.0.0.1:0", 11)).expect("start");
     let addr = server.addr().to_string();
 
@@ -200,7 +200,6 @@ fn daemon_serves_all_endpoints_and_cache_survives_restart() {
     assert_eq!(status, 200, "{body}");
     let health = json(&body);
     assert_eq!(health.get("latent_dim").and_then(Value::as_u64), Some(3));
-    assert_eq!(health.get("persistent_cache"), Some(&Value::Bool(true)));
 
     // Concurrent predicts from several clients; the admission queue must
     // route every caller its own row back.
@@ -287,7 +286,8 @@ fn daemon_serves_all_endpoints_and_cache_survives_restart() {
     assert_eq!(result.get("evals").and_then(Value::as_u64), Some(5));
 
     // A second identical search replays the same evaluations: the shared
-    // scheduler serves them from the (log-backed) cache.
+    // scheduler serves them from its memo.
+    let hits_before = scheduler_hits(&addr);
     let (status, body) = post(
         &addr,
         "/search",
@@ -304,17 +304,13 @@ fn daemon_serves_all_endpoints_and_cache_survives_restart() {
         job.get("result").and_then(|r| r.get("best_value")),
         "identical seeded searches must reproduce"
     );
+    assert!(
+        scheduler_hits(&addr) > hits_before,
+        "repeated search must hit the scheduler memo"
+    );
 
     let (status, manifest) = get(&addr, "/metrics?format=manifest");
     assert_eq!(status, 200);
-    assert!(
-        metric(&manifest, "scheduler.persistent.appends").unwrap_or(0.0) > 0.0,
-        "cold run must append evaluations to the persistent log"
-    );
-    assert!(
-        metric(&manifest, "scheduler.persistent.hits").unwrap_or(0.0) > 0.0,
-        "repeated search must hit log-backed cache entries"
-    );
     assert!(metric(&manifest, "serve.coalesce.predict.submits").unwrap_or(0.0) >= 4.0);
 
     // Default /metrics is now Prometheus text exposition and must parse.
@@ -374,22 +370,4 @@ fn daemon_serves_all_endpoints_and_cache_survives_restart() {
     assert_eq!(status, 404);
 
     shutdown_and_join(&addr, server);
-
-    // ---- Second daemon, same cache directory: must start warm. ----
-    let server = Server::start(tiny_config("127.0.0.1:0", 11)).expect("restart");
-    let addr = server.addr().to_string();
-    let (status, manifest) = get(&addr, "/metrics?format=manifest");
-    assert_eq!(status, 200);
-    assert!(
-        metric(&manifest, "scheduler.persistent.loaded").unwrap_or(0.0) > 0.0,
-        "restart must load the previous run's log"
-    );
-    assert!(
-        metric(&manifest, "scheduler.persistent.warm_hits").unwrap_or(0.0) > 0.0,
-        "dataset rebuild must be served from the persisted cache"
-    );
-    shutdown_and_join(&addr, server);
-
-    std::env::remove_var("VAESA_EVAL_CACHE");
-    let _ = std::fs::remove_dir_all(&cache_dir);
 }

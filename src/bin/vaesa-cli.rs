@@ -113,11 +113,7 @@ commands:
                                             |shutdown> [flags]
 
 workloads: alexnet, resnet50, resnext50, deepbench, vgg16, mobilenet,
-           bert, all (the Table III training pool)
-
-environment:
-  VAESA_EVAL_CACHE=DIR    persist scheduler evaluations to an append-only
-                          log in DIR, shared across runs and commands";
+           bert, all (the Table III training pool)";
 
 /// Minimal `--key value` flag map.
 struct Flags(HashMap<String, String>);
@@ -246,7 +242,7 @@ fn cmd_dataset(flags: &Flags) -> Result<(), String> {
     let layers = workload_layers(&flags.str("workload", "all"))?;
 
     let space = DesignSpace::paper();
-    let scheduler = CachedScheduler::from_env();
+    let scheduler = CachedScheduler::default();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     println!(
         "sampling {configs} random configs (+{grid}-per-axis grid) over {} layers...",
@@ -324,7 +320,7 @@ fn cmd_search(flags: &Flags) -> Result<(), String> {
     let seed: u64 = flags.num("seed", 0)?;
 
     let space = DesignSpace::paper();
-    let scheduler = CachedScheduler::from_env();
+    let scheduler = CachedScheduler::default();
     let evaluator = HardwareEvaluator::new(&space, &scheduler, &layers);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
@@ -417,7 +413,7 @@ fn cmd_eval(flags: &Flags) -> Result<(), String> {
         global_buf_bytes: flags.num("global", 131072u64)?,
     };
     let layers = workload_layers(&flags.str("workload", "resnet50"))?;
-    let scheduler = CachedScheduler::from_env();
+    let scheduler = CachedScheduler::default();
     let w = scheduler
         .schedule_workload(&arch, &layers)
         .map_err(|e| e.to_string())?;

@@ -17,7 +17,7 @@
 //! - [`core`] — the VAESA model itself: VAE + performance predictors and the
 //!   latent-space DSE flows ([`vaesa`]).
 //! - [`serve`] — the DSE-as-a-service daemon: predict/decode/search over
-//!   HTTP with a persistent cross-run evaluation cache ([`vaesa_serve`]).
+//!   HTTP ([`vaesa_serve`]).
 //!
 //! # Quickstart
 //!
