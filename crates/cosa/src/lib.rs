@@ -358,21 +358,43 @@ impl Scheduler {
     }
 }
 
-/// The memo table's key: an `(arch, layer)` pair with the layer replaced by
-/// its id in the table's [`LayerInterner`], so a key is plain data.
+/// An `(arch, layer)` pair with the layer replaced by its id in the
+/// table's [`LayerInterner`], so a key is plain data. In-flight marks are
+/// kept per key; cached costs are kept per arch, in [`Row`]s.
 type MemoKey = (ArchDescription, u32);
 
-/// One memoized scheduling result plus its second-chance reference bit.
+/// Set in a [`CostSlot`]'s layer id for a cached "no valid mapping".
+const NO_MAPPING: u32 = 1 << 31;
+
+/// One cached layer cost: the layer's id, with [`NO_MAPPING`] set when the
+/// layer has no valid mapping on the row's arch (the cost is then unused).
 #[derive(Debug)]
-struct CacheEntry {
-    /// The cost, or `None` for a cached "no valid mapping".
-    cost: Option<LayerCost>,
+struct CostSlot {
+    layer: u32,
+    cost: LayerCost,
+}
+
+// One slot is 24 bytes on 64-bit targets; keep it from growing a tag.
+const _: () = assert!(std::mem::size_of::<CostSlot>() <= 24);
+
+/// The cached layer costs of one design point plus the row's second-chance
+/// reference bit.
+#[derive(Debug, Default)]
+struct Row {
+    costs: Vec<CostSlot>,
     referenced: bool,
 }
 
-// One table slot is 88 bytes on 64-bit targets; keep entries from growing
-// back towards a full `Scheduled`.
-const _: () = assert!(std::mem::size_of::<(MemoKey, CacheEntry)>() <= 96);
+impl Row {
+    /// The cached result for layer `id`: the cost, or `None` for "no valid
+    /// mapping".
+    fn get(&self, id: u32) -> Option<Option<LayerCost>> {
+        self.costs
+            .iter()
+            .find(|slot| slot.layer & !NO_MAPPING == id)
+            .map(|slot| (slot.layer & NO_MAPPING == 0).then_some(slot.cost))
+    }
+}
 
 /// Maps each distinct layer (name included) to a small id. Layer sets are
 /// small — tens of layers per network — so ids are never freed.
@@ -386,24 +408,81 @@ impl LayerInterner {
         if let Some(&id) = self.ids.get(layer) {
             return id;
         }
-        let id = u32::try_from(self.ids.len()).expect("fewer than 2^32 distinct layers");
+        let id = u32::try_from(self.ids.len())
+            .ok()
+            .filter(|id| id & NO_MAPPING == 0)
+            .expect("fewer than 2^31 distinct layers");
         self.ids.insert(layer.clone(), id);
         id
     }
 }
 
-/// The mutable cache interior: the memo map, the eviction clock queue (keys
-/// in insertion/recycle order), the layer interner, and the keys being
-/// scheduled right now. All live under one mutex so they can never
-/// disagree.
+/// The mutable cache interior: one row per design point, the eviction clock
+/// queue (row keys in insertion/recycle order), the number of layer costs
+/// cached, the layer interner, and the keys being scheduled right now. All
+/// live under one mutex so they can never disagree.
 #[derive(Debug, Default)]
 struct CacheState {
-    map: HashMap<MemoKey, CacheEntry>,
-    queue: VecDeque<MemoKey>,
+    rows: HashMap<ArchDescription, Row>,
+    queue: VecDeque<ArchDescription>,
+    len: usize,
     layers: LayerInterner,
     /// Keys a caller is scheduling outside the lock, each with whether
     /// another caller waits for it.
     in_flight: HashMap<MemoKey, bool>,
+}
+
+impl CacheState {
+    /// The cached result for `key`, marking its row referenced on a hit.
+    fn hit(&mut self, (arch, layer): &MemoKey) -> Option<Option<LayerCost>> {
+        let row = self.rows.get_mut(arch)?;
+        let cost = row.get(*layer)?;
+        row.referenced = true;
+        Some(cost)
+    }
+
+    /// Caches `cost` under `key`, first evicting whole rows until one more
+    /// cost fits in `capacity`: a row re-hit since it last reached the front
+    /// of the queue is recycled to the back once, the first unreferenced row
+    /// is dropped. Returns the number of layer costs dropped.
+    fn insert(&mut self, (arch, layer): MemoKey, cost: Option<LayerCost>, capacity: usize) -> u64 {
+        let mut evicted = 0;
+        while self.len >= capacity {
+            let victim = self.queue.pop_front().expect("queue tracks rows");
+            let row = self.rows.get_mut(&victim).expect("queued archs have rows");
+            if std::mem::take(&mut row.referenced) {
+                self.queue.push_back(victim);
+            } else {
+                let dropped = row.costs.len();
+                self.rows.remove(&victim);
+                self.len -= dropped;
+                evicted += dropped as u64;
+            }
+        }
+        let row = self.rows.entry(arch).or_insert_with(|| {
+            self.queue.push_back(arch);
+            Row::default()
+        });
+        debug_assert!(
+            row.get(layer).is_none(),
+            "only the in-flight caller inserts"
+        );
+        // A row grows one slot at a time: it then carries no spare
+        // capacity, and the reallocation is noise beside a miss.
+        row.costs.reserve_exact(1);
+        row.costs.push(match cost {
+            Some(cost) => CostSlot { layer, cost },
+            None => CostSlot {
+                layer: layer | NO_MAPPING,
+                cost: LayerCost {
+                    latency_cycles: 0.0,
+                    energy_pj: 0.0,
+                },
+            },
+        });
+        self.len += 1;
+        evicted
+    }
 }
 
 /// A scheduler with a bounded memoization cache keyed by `(arch, layer)`.
@@ -414,14 +493,14 @@ struct CacheState {
 /// Thread-safe via an internal mutex; each key is scheduled once, however
 /// many callers miss it at the same time.
 ///
-/// Entries hold only the [`LayerCost`] callers read back; use
-/// [`Scheduler::schedule`] for the mapping itself.
+/// The cache keeps one row per design point holding only the [`LayerCost`]s
+/// callers read back; use [`Scheduler::schedule`] for the mapping itself.
 ///
-/// The cache holds at most [`CachedScheduler::DEFAULT_CAPACITY`] entries
-/// (configurable via [`CachedScheduler::with_capacity`]) and evicts with a
-/// second-chance (clock) policy: entries re-hit since they last reached the
-/// front of the queue get recycled to the back once before they can be
-/// evicted, so hot `(arch, layer)` pairs survive long sweeps of one-off
+/// The cache holds at most [`CachedScheduler::DEFAULT_CAPACITY`] layer
+/// costs (configurable via [`CachedScheduler::with_capacity`]) and evicts
+/// whole rows with a second-chance (clock) policy: rows re-hit since they
+/// last reached the front of the queue get recycled to the back once before
+/// they can be evicted, so hot design points survive long sweeps of one-off
 /// candidates.
 #[derive(Debug)]
 pub struct CachedScheduler {
@@ -436,7 +515,8 @@ pub struct CachedScheduler {
 }
 
 /// Clears a key's in-flight mark if scheduling it unwinds, so callers
-/// waiting on the key recompute it instead of waiting forever.
+/// waiting on the key recompute it instead of waiting forever. A miss that
+/// lands clears the mark itself and forgets the guard.
 struct InFlight<'a> {
     cache: &'a CachedScheduler,
     key: MemoKey,
@@ -469,9 +549,9 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that ran the scheduler.
     pub misses: u64,
-    /// Distinct `(arch, layer)` pairs cached.
+    /// Distinct `(arch, layer)` pairs cached (layer costs, not rows).
     pub entries: usize,
-    /// Entries dropped by the second-chance eviction policy.
+    /// Layer costs dropped by the second-chance eviction policy.
     pub evictions: u64,
 }
 
@@ -502,20 +582,23 @@ impl std::fmt::Display for CacheStats {
 }
 
 impl CachedScheduler {
-    /// Default cache bound: large enough that every `--fast` pipeline and
-    /// perfbench workload runs without evicting, small enough to cap memory
-    /// on long campaigns (at 88 bytes a slot, a full table is under 100 MB).
-    /// Default-scale Fig. 11 overflows it (268,224 misses, 6,080
-    /// evictions) and still keeps the 66 hits of its re-score step.
+    /// Default cache bound, in layer costs: large enough that every `--fast`
+    /// pipeline and perfbench workload runs without evicting, small enough
+    /// to cap memory on long campaigns: with 20-layer rows a cached cost
+    /// holds about 34 heap bytes, so a full table is about 9 MB.
+    /// Default-scale Fig. 11 overflows it (268,224 misses; whole rows
+    /// evicted, 6,138 layer costs) and still keeps the 66 hits of its
+    /// re-score step.
     pub const DEFAULT_CAPACITY: usize = 1 << 18;
 
     /// Wraps a scheduler with an empty cache of
-    /// [`CachedScheduler::DEFAULT_CAPACITY`] entries.
+    /// [`CachedScheduler::DEFAULT_CAPACITY`] layer costs.
     pub fn new(inner: Scheduler) -> Self {
         Self::with_capacity(inner, Self::DEFAULT_CAPACITY)
     }
 
-    /// Wraps a scheduler with an empty cache bounded to `capacity` entries.
+    /// Wraps a scheduler with an empty cache bounded to `capacity` layer
+    /// costs.
     ///
     /// # Panics
     ///
@@ -535,11 +618,11 @@ impl CachedScheduler {
     }
 
     /// Cached version of [`Scheduler::schedule`], returning the layer's
-    /// [`LayerCost`]. A lookup allocates nothing unless it meets a layer
-    /// for the first time or returns an error.
+    /// [`LayerCost`]. A hit allocates nothing unless it meets a layer for
+    /// the first time or returns an error.
     ///
     /// When several callers miss the same key at once, one schedules it and
-    /// the others wait for its entry and count as hits.
+    /// the others wait for its cost and count as hits.
     ///
     /// # Errors
     ///
@@ -552,10 +635,9 @@ impl CachedScheduler {
         let mut state = self.state.lock().expect("cache lock");
         let key = (*arch, state.layers.intern(layer));
         loop {
-            if let Some(entry) = state.map.get_mut(&key) {
-                entry.referenced = true;
+            if let Some(cost) = state.hit(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return entry.cost.ok_or_else(|| no_valid_mapping(layer));
+                return cost.ok_or_else(|| no_valid_mapping(layer));
             }
             match state.in_flight.get_mut(&key) {
                 Some(waited) => {
@@ -572,35 +654,21 @@ impl CachedScheduler {
         // Compute outside the lock so misses on distinct keys schedule in
         // parallel.
         let cost = self.inner.schedule(arch, layer).map(|s| s.cost());
-        let mut state = self.state.lock().expect("cache lock");
-        while state.map.len() >= self.capacity {
-            let victim = state.queue.pop_front().expect("queue tracks map");
-            let recycled = {
-                let entry = state.map.get_mut(&victim).expect("queued keys are mapped");
-                let hit_since = entry.referenced;
-                entry.referenced = false;
-                hit_since
-            };
-            if recycled {
-                state.queue.push_back(victim);
-            } else {
-                state.map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        state.queue.push_back(key);
-        let previous = state.map.insert(
-            key,
-            CacheEntry {
-                cost: cost.as_ref().ok().copied(),
-                referenced: false,
-            },
-        );
-        debug_assert!(previous.is_none(), "only the in-flight caller inserts");
-        drop(state);
-        // Clears the in-flight mark and wakes any waiter, which now hits.
-        drop(flight);
+        self.land(flight, cost.as_ref().ok().copied());
         cost
+    }
+
+    /// Caches a miss's result, clears its key's in-flight mark and wakes
+    /// any waiter (which then hits), all in one critical section.
+    fn land(&self, flight: InFlight<'_>, cost: Option<LayerCost>) {
+        let mut state = self.state.lock().expect("cache lock");
+        let evicted = state.insert(flight.key, cost, self.capacity);
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        if state.in_flight.remove(&flight.key) == Some(true) {
+            self.landed.notify_all();
+        }
+        drop(state);
+        std::mem::forget(flight);
     }
 
     /// Cached version of [`Scheduler::schedule_workload`].
@@ -616,9 +684,10 @@ impl CachedScheduler {
         workload_eval(layers.iter().map(|layer| self.schedule(arch, layer)))
     }
 
-    /// Number of distinct `(arch, layer)` pairs cached.
+    /// Number of distinct `(arch, layer)` pairs cached: layer costs, not
+    /// rows.
     pub fn cache_len(&self) -> usize {
-        self.state.lock().expect("cache lock").map.len()
+        self.state.lock().expect("cache lock").len
     }
 
     /// Hit/miss/eviction counters and cache size since construction.
@@ -871,17 +940,7 @@ mod tests {
                 cache: &cached,
                 key,
             };
-            let mut state = cached.state.lock().unwrap();
-            state.queue.push_back(key);
-            state.map.insert(
-                key,
-                CacheEntry {
-                    cost: Some(want),
-                    referenced: false,
-                },
-            );
-            drop(state);
-            drop(flight);
+            cached.land(flight, Some(want));
         });
         assert_eq!(bits(&got), bits(&want));
         let stats = cached.cache_stats();
@@ -962,12 +1021,20 @@ mod tests {
         assert!(gauge("scheduler.hit_rate") > 0.0);
     }
 
+    /// `arch()` with `pe_count` PEs: a distinct design point per count.
+    fn arch_with_pes(pe_count: u64) -> ArchDescription {
+        ArchDescription { pe_count, ..arch() }
+    }
+
+    // The eviction tests below look up one layer per design point, so that
+    // each row holds one cost and rows evict exactly as entries would.
+
     #[test]
     fn bounded_cache_never_exceeds_capacity() {
         let cached = CachedScheduler::with_capacity(Scheduler::default(), 3);
-        for i in 1..=8 {
-            let fc = LayerShape::fully_connected("fc", 64 * i, 64);
-            cached.schedule(&arch(), &fc).unwrap();
+        let fc = LayerShape::fully_connected("fc", 128, 64);
+        for i in 0..8 {
+            cached.schedule(&arch_with_pes(1 << i), &fc).unwrap();
             assert!(cached.cache_len() <= 3, "cache grew past its bound");
         }
         let stats = cached.cache_stats();
@@ -979,32 +1046,54 @@ mod tests {
     #[test]
     fn second_chance_keeps_rehit_entries_over_cold_ones() {
         let cached = CachedScheduler::with_capacity(Scheduler::default(), 2);
-        let hot = LayerShape::fully_connected("hot", 128, 64);
-        let cold = LayerShape::fully_connected("cold", 256, 64);
-        let new = LayerShape::fully_connected("new", 512, 64);
-        cached.schedule(&arch(), &hot).unwrap(); // miss, insert
-        cached.schedule(&arch(), &cold).unwrap(); // miss, insert
-        cached.schedule(&arch(), &hot).unwrap(); // hit: marks `hot` referenced
-                                                 // Inserting a third entry must evict `cold`: `hot` is at the front
-                                                 // of the clock queue but referenced, so it gets its second chance.
-        cached.schedule(&arch(), &new).unwrap(); // miss, evicts `cold`
+        let fc = LayerShape::fully_connected("fc", 128, 64);
+        let (hot, cold, new) = (arch_with_pes(4), arch_with_pes(8), arch_with_pes(16));
+        cached.schedule(&hot, &fc).unwrap(); // miss, insert
+        cached.schedule(&cold, &fc).unwrap(); // miss, insert
+        cached.schedule(&hot, &fc).unwrap(); // hit: marks `hot` referenced
+
+        // Inserting a third row must evict `cold`: `hot` is at the front of
+        // the clock queue but referenced, so it gets its second chance.
+        cached.schedule(&new, &fc).unwrap(); // miss, evicts `cold`
         let before = cached.cache_stats();
-        cached.schedule(&arch(), &hot).unwrap(); // still cached: a hit
+        cached.schedule(&hot, &fc).unwrap(); // still cached: a hit
         assert_eq!(cached.cache_stats().hits, before.hits + 1);
-        cached.schedule(&arch(), &cold).unwrap(); // evicted: a miss
+        cached.schedule(&cold, &fc).unwrap(); // evicted: a miss
         assert_eq!(cached.cache_stats().misses, before.misses + 1);
     }
 
     #[test]
     fn evicted_entries_recompute_identically() {
         let capacity_one = CachedScheduler::with_capacity(Scheduler::default(), 1);
-        let a = conv();
-        let b = LayerShape::fully_connected("fc", 128, 64);
-        let first = capacity_one.schedule(&arch(), &a).unwrap();
-        capacity_one.schedule(&arch(), &b).unwrap(); // evicts `a`
-        let again = capacity_one.schedule(&arch(), &a).unwrap(); // recompute
+        let (a, b) = (arch(), arch_with_pes(64));
+        let first = capacity_one.schedule(&a, &conv()).unwrap();
+        capacity_one.schedule(&b, &conv()).unwrap(); // evicts `a`
+        let again = capacity_one.schedule(&a, &conv()).unwrap(); // recompute
         assert_eq!(bits(&first), bits(&again));
         assert_eq!(capacity_one.cache_stats().evictions, 2);
+    }
+
+    /// A row leaves the cache whole: every layer cost it held counts as an
+    /// eviction, and `cache_len` counts layer costs, not rows.
+    #[test]
+    fn a_design_point_is_evicted_as_a_whole_row() {
+        let cached = CachedScheduler::with_capacity(Scheduler::default(), 4);
+        let layers: Vec<_> = (1..=3)
+            .map(|i| LayerShape::fully_connected("fc", 64 * i, 64))
+            .collect();
+        for layer in &layers {
+            cached.schedule(&arch(), layer).unwrap();
+        }
+        cached.schedule(&arch_with_pes(64), &layers[0]).unwrap();
+        assert_eq!(cached.cache_len(), 4);
+        // A fifth cost evicts the oldest row, `arch()`, with its three costs.
+        cached.schedule(&arch_with_pes(128), &layers[0]).unwrap();
+        let stats = cached.cache_stats();
+        assert_eq!((stats.entries, stats.evictions), (2, 3));
+        for layer in &layers {
+            cached.schedule(&arch(), layer).unwrap();
+        }
+        assert_eq!(cached.cache_stats().misses, 8);
     }
 
     #[test]

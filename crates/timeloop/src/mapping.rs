@@ -121,11 +121,6 @@ impl Mapping {
         self.c0 * self.spatial_c
     }
 
-    /// Output channels resident per PE (`k0`).
-    pub fn k_per_pe(&self) -> u64 {
-        self.k0
-    }
-
     /// Global-buffer tile of P (clamped to the layer dimension by the
     /// evaluator).
     pub fn p_gb(&self) -> u64 {
@@ -424,7 +419,6 @@ mod tests {
         assert_eq!(m.c_gb(), 2 * 8 * 6);
         assert_eq!(m.k_gb(), 3 * 4 * 2);
         assert_eq!(m.c_per_pe(), 16);
-        assert_eq!(m.k_per_pe(), 3);
     }
 
     #[test]

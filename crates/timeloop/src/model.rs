@@ -568,42 +568,6 @@ impl Evaluation {
     pub fn edp(&self) -> f64 {
         self.latency_cycles * self.energy_pj
     }
-
-    /// Fraction of compute-bound cycles in the final latency: 1.0 when the
-    /// mapping keeps the MAC array the bottleneck, < 1.0 when memory
-    /// bandwidth stalls it.
-    pub fn compute_bound_fraction(&self) -> f64 {
-        if self.latency_cycles == 0.0 {
-            return 1.0;
-        }
-        self.compute_cycles / self.latency_cycles
-    }
-
-    /// Publishes this evaluation as gauges `{prefix}.latency_cycles`,
-    /// `{prefix}.energy_pj`, `{prefix}.edp`, `{prefix}.area_mm2`, and
-    /// `{prefix}.utilization` on `registry`.
-    ///
-    /// This is the cost model's entire observability surface: reporting
-    /// happens at whatever cadence the *caller* chooses (typically once,
-    /// for a run's best design), so [`CostModel::evaluate`](crate::CostModel::evaluate)
-    /// itself — 45–100 ns per call on a 2-core AVX-512 Xeon, invoked
-    /// millions of times during dataset labeling — stays completely
-    /// uninstrumented.
-    pub fn publish_gauges(&self, registry: &vaesa_obs::Registry, prefix: &str) {
-        registry
-            .gauge(&format!("{prefix}.latency_cycles"))
-            .set(self.latency_cycles);
-        registry
-            .gauge(&format!("{prefix}.energy_pj"))
-            .set(self.energy_pj);
-        registry.gauge(&format!("{prefix}.edp")).set(self.edp());
-        registry
-            .gauge(&format!("{prefix}.area_mm2"))
-            .set(self.area_mm2);
-        registry
-            .gauge(&format!("{prefix}.utilization"))
-            .set(self.utilization);
-    }
 }
 
 impl fmt::Display for Evaluation {
@@ -868,17 +832,6 @@ mod tests {
         let full = model.evaluate(&arch(), &layer(), &good_mapping()).unwrap();
         assert!((full.utilization - (16.0 * 16.0) / (16.0 * 64.0)).abs() < 1e-12);
         assert!(full.utilization <= 1.0);
-    }
-
-    #[test]
-    fn compute_bound_fraction_is_a_fraction() {
-        let model = CostModel::default();
-        let e = model.evaluate(&arch(), &layer(), &good_mapping()).unwrap();
-        let f = e.compute_bound_fraction();
-        assert!((0.0..=1.0).contains(&f), "fraction {f}");
-        // With the unit mapping compute dominates entirely.
-        let u = model.evaluate(&arch(), &layer(), &Mapping::unit()).unwrap();
-        assert_eq!(u.compute_bound_fraction(), 1.0);
     }
 
     #[test]
