@@ -119,12 +119,6 @@ impl LayerShape {
         self.p * self.q * self.k
     }
 
-    /// Returns `true` for layers expressible as matrix multiply
-    /// (1×1 kernel, unit stride).
-    pub fn is_fully_connected(&self) -> bool {
-        self.r == 1 && self.s == 1 && self.p == 1 && self.q == 1
-    }
-
     /// The 8-feature vector used as the DNN-layer conditioning input of the
     /// performance predictors, in Table-IV column order.
     pub fn features(&self) -> [f64; 8] {
@@ -171,7 +165,6 @@ mod tests {
         assert_eq!(l.weight_elems(), 3 * 3 * 512 * 512);
         assert_eq!(l.input_elems(), 16 * 16 * 512);
         assert_eq!(l.output_elems(), 14 * 14 * 512);
-        assert!(!l.is_fully_connected());
     }
 
     #[test]
@@ -184,7 +177,6 @@ mod tests {
     #[test]
     fn fully_connected_constructor() {
         let l = LayerShape::fully_connected("fc", 2208, 1000);
-        assert!(l.is_fully_connected());
         assert_eq!(l.macs(), 2208 * 1000);
         assert_eq!(l.input_elems(), 2208);
         assert_eq!(l.output_elems(), 1000);

@@ -130,7 +130,7 @@ pub fn init_run_meta(bin: &str, args: &Args) {
     );
     vaesa_obs::set_meta("seed", args.seed);
     vaesa_obs::set_meta("scale", args.scale);
-    vaesa_obs::set_meta("cpu_features", vaesa_nn::cpu_features());
+    vaesa_obs::set_meta("cpu_features", vaesa_linalg::cpu_features());
     if let Some(budget) = args.budget {
         vaesa_obs::set_meta("budget", budget);
     }

@@ -1,5 +1,5 @@
 use vaesa_linalg::triangular::{packed_row_offset, solve_lower_multi};
-use vaesa_linalg::{Cholesky, LinalgError, Matrix};
+use vaesa_linalg::{Cholesky, LinalgError};
 
 /// Observation count below which GP fitting stays serial: thread fan-out
 /// costs more than the O(n³) work it would hide on small problems, and the
@@ -133,34 +133,22 @@ impl GpRegressor {
             return Err(LinalgError::Empty);
         }
         let n = xs.len();
-        let mut k = Matrix::zeros(n, n);
+        // `Cholesky::new` reads only the lower triangle, so only it is filled.
+        let mut k = vec![0.0; n * n];
+        let fill_row = |i: usize, row: &mut [f64]| {
+            for (j, slot) in row[..=i].iter_mut().enumerate() {
+                *slot = matern52(lengthscale, &xs[i], &xs[j]);
+            }
+            row[i] += Self::DEFAULT_NOISE;
+        };
         if n >= GP_PAR_MIN_N && vaesa_par::num_threads() > 1 {
-            // One row per chunk; the kernel is exactly symmetric (the
-            // squared differences negate bit-exactly), so filling both
-            // triangles independently matches the mirrored serial fill.
-            vaesa_par::par_chunks_mut(k.as_mut_slice(), n, |i, _, row| {
-                for (j, slot) in row.iter_mut().enumerate() {
-                    *slot = matern52(lengthscale, &xs[i], &xs[j]);
-                }
-                row[i] += Self::DEFAULT_NOISE;
-            });
+            vaesa_par::par_chunks_mut(&mut k, n, |i, _, row| fill_row(i, row));
         } else {
-            for i in 0..n {
-                for j in 0..=i {
-                    let v = matern52(lengthscale, &xs[i], &xs[j]);
-                    k[(i, j)] = v;
-                    k[(j, i)] = v;
-                }
-                k[(i, i)] += Self::DEFAULT_NOISE;
-            }
+            k.chunks_mut(n)
+                .enumerate()
+                .for_each(|(i, row)| fill_row(i, row));
         }
-        let chol = Cholesky::new(&k)?;
-        let mut l = Vec::with_capacity(n * (n + 1) / 2);
-        for i in 0..n {
-            for j in 0..=i {
-                l.push(chol.factor()[(i, j)]);
-            }
-        }
+        let l = Cholesky::new(&k, n)?.into_factor();
         let mut gp = GpRegressor {
             lengthscale,
             xs: xs.to_vec(),
@@ -252,16 +240,15 @@ impl GpRegressor {
         if m == 0 {
             return Vec::new();
         }
-        let mut kstar = Matrix::zeros(n, m);
+        let mut kstar = vec![0.0; n * m];
         if n >= GP_PAR_MIN_N && vaesa_par::num_threads() > 1 {
-            vaesa_par::par_chunks_mut(kstar.as_mut_slice(), m, |i, _, row| {
+            vaesa_par::par_chunks_mut(&mut kstar, m, |i, _, row| {
                 for (slot, x) in row.iter_mut().zip(xs) {
                     *slot = self.kernel(&self.xs[i], x);
                 }
             });
         } else {
-            for i in 0..n {
-                let row = &mut kstar.as_mut_slice()[i * m..(i + 1) * m];
+            for (i, row) in kstar.chunks_mut(m).enumerate() {
                 for (slot, x) in row.iter_mut().zip(xs) {
                     *slot = self.kernel(&self.xs[i], x);
                 }
@@ -270,18 +257,15 @@ impl GpRegressor {
         // Means: accumulate K*ᵀ·α with the training index outermost — per
         // candidate this is the same left-to-right sum `predict` computes.
         let mut mean_std = vec![0.0; m];
-        for i in 0..n {
-            let a = self.alpha[i];
-            let row = &kstar.as_slice()[i * m..(i + 1) * m];
+        for (&a, row) in self.alpha.iter().zip(kstar.chunks(m)) {
             for (acc, &k) in mean_std.iter_mut().zip(row) {
                 *acc += k * a;
             }
         }
         // One multi-RHS solve turns column j into v_j = L⁻¹ K*_j in place.
-        solve_lower_multi(&self.l, n, &mut kstar);
+        solve_lower_multi(&self.l, n, &mut kstar, m);
         let mut v_sq = vec![0.0; m];
-        for i in 0..n {
-            let row = &kstar.as_slice()[i * m..(i + 1) * m];
+        for row in kstar.chunks(m) {
             for (acc, &v) in v_sq.iter_mut().zip(row) {
                 *acc += v * v;
             }

@@ -138,33 +138,6 @@ impl Trace {
             .map(|s| s.index + 1)
     }
 
-    /// Serializes the trace as CSV (`index,x...,value,best_so_far`);
-    /// invalid samples leave the value column empty. Ready to write to a
-    /// file or pipe into a plotting tool.
-    pub fn to_csv(&self) -> String {
-        let dim = self.samples.first().map_or(0, |s| s.x.len());
-        let mut out = String::from("index");
-        for d in 0..dim {
-            out.push_str(&format!(",x{d}"));
-        }
-        out.push_str(",value,best_so_far\n");
-        for s in &self.samples {
-            out.push_str(&s.index.to_string());
-            for v in &s.x {
-                out.push_str(&format!(",{v:.6e}"));
-            }
-            match s.value {
-                Some(v) => out.push_str(&format!(",{v:.6e}")),
-                None => out.push(','),
-            }
-            match s.best_so_far {
-                Some(b) => out.push_str(&format!(",{b:.6e}\n")),
-                None => out.push_str(",\n"),
-            }
-        }
-        out
-    }
-
     /// The best-so-far curve, padded with the final value to `len` entries
     /// (so traces of different lengths can be averaged). Entries before the
     /// first valid sample hold `pad_value`.
@@ -246,24 +219,5 @@ mod tests {
     #[test]
     fn label_is_kept() {
         assert_eq!(demo().label(), "m");
-    }
-
-    #[test]
-    fn csv_includes_headers_values_and_blanks() {
-        let csv = demo().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "index,x0,value,best_so_far");
-        assert_eq!(lines.len(), 5); // header + 4 samples
-        assert!(lines[1].starts_with("0,"));
-        // The invalid third sample has an empty value column.
-        let cols: Vec<&str> = lines[3].split(',').collect();
-        assert_eq!(cols[2], "");
-        assert!(cols[3].starts_with('1')); // best-so-far still 10
-    }
-
-    #[test]
-    fn empty_trace_csv_is_header_only() {
-        let csv = Trace::new("e").to_csv();
-        assert_eq!(csv.lines().count(), 1);
     }
 }

@@ -53,11 +53,6 @@ impl FlowCache {
         FlowCache { root: root.into() }
     }
 
-    /// Opens the default cache ([`default_cache_root`]).
-    pub fn open_default() -> Self {
-        Self::new(default_cache_root())
-    }
-
     /// The cache root directory.
     pub fn root(&self) -> &Path {
         &self.root

@@ -1,4 +1,5 @@
-use crate::{LinalgError, Matrix, Result};
+use crate::triangular::packed_row_offset;
+use crate::{LinalgError, Result};
 
 /// Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite matrix,
 /// with automatic jitter escalation.
@@ -8,38 +9,42 @@ use crate::{LinalgError, Matrix, Result};
 /// exponentially growing diagonal jitter (starting at `1e-10`, capped at
 /// `1e-2` relative to the mean diagonal) before giving up.
 ///
+/// The factor is kept as a packed row-major lower triangle: row `i` starts
+/// at [`packed_row_offset`]`(i) = i(i+1)/2` and holds `i + 1` entries, the
+/// layout [`crate::triangular::solve_lower_multi`] reads.
+///
 /// # Examples
 ///
 /// ```
-/// use vaesa_linalg::{Matrix, Cholesky};
+/// use vaesa_linalg::Cholesky;
 ///
-/// let a = Matrix::from_rows(&[&[25.0, 15.0, -5.0],
-///                             &[15.0, 18.0,  0.0],
-///                             &[-5.0,  0.0, 11.0]])?;
-/// let chol = Cholesky::new(&a)?;
-/// let l = chol.factor();
-/// assert!((l[(0, 0)] - 5.0).abs() < 1e-12);
+/// let a = [25.0, 15.0, -5.0,
+///          15.0, 18.0,  0.0,
+///          -5.0,  0.0, 11.0];
+/// let l = Cholesky::new(&a, 3)?.into_factor();
+/// assert_eq!(l, [5.0, 3.0, 3.0, -1.0, 1.0, 3.0]);
 /// # Ok::<(), vaesa_linalg::LinalgError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cholesky {
-    l: Matrix,
-    jitter: f64,
+    l: Vec<f64>,
 }
 
 impl Cholesky {
-    /// Factors the symmetric positive-definite matrix `a`.
+    /// Factors the symmetric positive-definite `n x n` matrix `a`, given
+    /// dense and row-major; only its lower triangle is read.
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::NotSquare`] if `a` is not square, and
+    /// Returns [`LinalgError::Empty`] if `n == 0`, and
     /// [`LinalgError::NotPositiveDefinite`] if factorization fails even after
     /// jitter escalation.
-    pub fn new(a: &Matrix) -> Result<Self> {
-        if a.rows() != a.cols() {
-            return Err(LinalgError::NotSquare { shape: a.shape() });
-        }
-        let n = a.rows();
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != n * n`.
+    pub fn new(a: &[f64], n: usize) -> Result<Self> {
+        assert_eq!(a.len(), n * n, "matrix has {} entries, not {n}²", a.len());
         if n == 0 {
             return Err(LinalgError::Empty);
         }
@@ -51,180 +56,60 @@ impl Cholesky {
         result
     }
 
-    fn new_timed(a: &Matrix, n: usize) -> Result<Self> {
-        let mean_diag = (0..n).map(|i| a[(i, i)].abs()).sum::<f64>() / n as f64;
+    fn new_timed(a: &[f64], n: usize) -> Result<Self> {
+        let mean_diag = (0..n).map(|i| a[i * n + i].abs()).sum::<f64>() / n as f64;
         let scale = if mean_diag > 0.0 { mean_diag } else { 1.0 };
         let mut jitter = 0.0;
         let max_jitter = 1e-2 * scale;
+        let mut l = vec![0.0; packed_row_offset(n)];
         loop {
-            match Self::factor_with_jitter(a, jitter) {
-                Some(l) => return Ok(Cholesky { l, jitter }),
-                None => {
-                    jitter = if jitter == 0.0 {
-                        1e-10 * scale
-                    } else {
-                        jitter * 10.0
-                    };
-                    if jitter > max_jitter {
-                        return Err(LinalgError::NotPositiveDefinite { max_jitter });
-                    }
-                }
+            if Self::factor_with_jitter(a, n, jitter, &mut l) {
+                return Ok(Cholesky { l });
+            }
+            jitter = if jitter == 0.0 {
+                1e-10 * scale
+            } else {
+                jitter * 10.0
+            };
+            if jitter > max_jitter {
+                return Err(LinalgError::NotPositiveDefinite { max_jitter });
             }
         }
     }
 
-    fn factor_with_jitter(a: &Matrix, jitter: f64) -> Option<Matrix> {
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
+    /// Writes the factor of `a + jitter·I` into the packed `l`; `false`
+    /// when a pivot is not positive and finite. Entry `(i, j)` is
+    /// `a[i][j]` (plus the jitter on the diagonal), minus `L[i][k]·L[j][k]`
+    /// for `k = 0..j` in order, then the square root on the diagonal or the
+    /// division by `L[j][j]` below it.
+    fn factor_with_jitter(a: &[f64], n: usize, jitter: f64, l: &mut [f64]) -> bool {
         for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                if i == j {
-                    sum += jitter;
+            let oi = packed_row_offset(i);
+            let (prior, row_i) = l.split_at_mut(oi);
+            let row_i = &mut row_i[..=i];
+            for j in 0..i {
+                let row_j = &prior[packed_row_offset(j)..][..=j];
+                let mut sum = a[i * n + j];
+                for (x, y) in row_i[..j].iter().zip(&row_j[..j]) {
+                    sum -= x * y;
                 }
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return None;
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
+                row_i[j] = sum / row_j[j];
             }
-        }
-        Some(l)
-    }
-
-    /// The lower-triangular factor `L`.
-    pub fn factor(&self) -> &Matrix {
-        &self.l
-    }
-
-    /// The diagonal jitter that was added to achieve positive definiteness
-    /// (0.0 when none was needed).
-    pub fn jitter(&self) -> f64 {
-        self.jitter
-    }
-
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.l.rows()
-    }
-
-    /// Solves `L y = b` by forward substitution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.dim()`.
-    #[allow(clippy::needless_range_loop)] // triangular solves read clearest with indices
-    pub fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.dim();
-        assert_eq!(b.len(), n, "rhs length {} != dim {}", b.len(), n);
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self.l[(i, k)] * y[k];
+            let mut sum = a[i * n + i] + jitter;
+            for x in &row_i[..i] {
+                sum -= x * x;
             }
-            y[i] = sum / self.l[(i, i)];
-        }
-        y
-    }
-
-    /// Solves `Lᵀ x = y` by back substitution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != self.dim()`.
-    #[allow(clippy::needless_range_loop)] // triangular solves read clearest with indices
-    pub fn solve_upper(&self, y: &[f64]) -> Vec<f64> {
-        let n = self.dim();
-        assert_eq!(y.len(), n, "rhs length {} != dim {}", y.len(), n);
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for k in (i + 1)..n {
-                sum -= self.l[(k, i)] * x[k];
+            if sum <= 0.0 || !sum.is_finite() {
+                return false;
             }
-            x[i] = sum / self.l[(i, i)];
+            row_i[i] = sum.sqrt();
         }
-        x
+        true
     }
 
-    /// Solves `A x = b` using the factorization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.dim()`.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        self.solve_upper(&self.solve_lower(b))
-    }
-
-    /// Log-determinant of `A`, i.e. `2 * Σ ln L[i][i]`.
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-
-    /// Solves `L Y = B` for every column of `b` in one blocked pass.
-    ///
-    /// Column `j` of the result is bit-identical to
-    /// [`Cholesky::solve_lower`] on column `j` of `b`, at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.rows() != self.dim()`.
-    pub fn solve_lower_multi(&self, b: &Matrix) -> Result<Matrix> {
-        self.check_multi_rhs(b, "solve_lower_multi")?;
-        let timer = std::time::Instant::now();
-        let mut out = b.clone();
-        crate::triangular::solve_lower_multi_dense(&self.l, &mut out);
-        vaesa_obs::histogram("linalg.cholesky.solve_ns").record_duration(timer.elapsed());
-        Ok(out)
-    }
-
-    /// Solves `Lᵀ X = Y` for every column of `b` in one blocked pass.
-    ///
-    /// Column `j` of the result is bit-identical to
-    /// [`Cholesky::solve_upper`] on column `j` of `b`, at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.rows() != self.dim()`.
-    pub fn solve_upper_multi(&self, b: &Matrix) -> Result<Matrix> {
-        self.check_multi_rhs(b, "solve_upper_multi")?;
-        let timer = std::time::Instant::now();
-        let mut out = b.clone();
-        crate::triangular::solve_upper_multi_dense(&self.l, &mut out);
-        vaesa_obs::histogram("linalg.cholesky.solve_ns").record_duration(timer.elapsed());
-        Ok(out)
-    }
-
-    /// Solves `A X = B` via one multi-RHS forward and one multi-RHS back
-    /// substitution (bit-identical to solving column by column).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.rows() != self.dim()`.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
-        self.check_multi_rhs(b, "solve_matrix")?;
-        let mut out = b.clone();
-        crate::triangular::solve_lower_multi_dense(&self.l, &mut out);
-        crate::triangular::solve_upper_multi_dense(&self.l, &mut out);
-        Ok(out)
-    }
-
-    fn check_multi_rhs(&self, b: &Matrix, op: &'static str) -> Result<()> {
-        if b.rows() != self.dim() {
-            return Err(LinalgError::ShapeMismatch {
-                left: (self.dim(), self.dim()),
-                right: b.shape(),
-                op,
-            });
-        }
-        Ok(())
+    /// The packed lower-triangular factor `L`.
+    pub fn into_factor(self) -> Vec<f64> {
+        self.l
     }
 }
 
@@ -232,123 +117,56 @@ impl Cholesky {
 mod tests {
     use super::*;
 
-    fn spd3() -> Matrix {
-        Matrix::from_rows(&[&[25.0, 15.0, -5.0], &[15.0, 18.0, 0.0], &[-5.0, 0.0, 11.0]]).unwrap()
+    const SPD3: [f64; 9] = [25.0, 15.0, -5.0, 15.0, 18.0, 0.0, -5.0, 0.0, 11.0];
+
+    /// `(L Lᵀ)[i][j]` from a packed factor.
+    fn product(l: &[f64], i: usize, j: usize) -> f64 {
+        let (ri, rj) = (packed_row_offset(i), packed_row_offset(j));
+        (0..=i.min(j)).map(|k| l[ri + k] * l[rj + k]).sum()
     }
 
     #[test]
-    fn factor_known_matrix() {
-        let chol = Cholesky::new(&spd3()).unwrap();
-        let l = chol.factor();
-        let expected =
-            Matrix::from_rows(&[&[5.0, 0.0, 0.0], &[3.0, 3.0, 0.0], &[-1.0, 1.0, 3.0]]).unwrap();
-        assert!(l.approx_eq(&expected, 1e-12));
-        assert_eq!(chol.jitter(), 0.0);
+    fn factor_known_matrix_packed() {
+        let l = Cholesky::new(&SPD3, 3).unwrap().into_factor();
+        assert_eq!(l, [5.0, 3.0, 3.0, -1.0, 1.0, 3.0]);
     }
 
     #[test]
     fn reconstruction_l_lt() {
-        let a = spd3();
-        let chol = Cholesky::new(&a).unwrap();
-        let l = chol.factor();
-        let rec = l.matmul(&l.transpose()).unwrap();
-        assert!(rec.approx_eq(&a, 1e-10));
-    }
-
-    #[test]
-    fn solve_recovers_rhs() {
-        let a = spd3();
-        let chol = Cholesky::new(&a).unwrap();
-        let x = chol.solve(&[1.0, 2.0, 3.0]);
-        let b = a.matvec(&x);
-        for (got, want) in b.iter().zip([1.0, 2.0, 3.0]) {
-            assert!((got - want).abs() < 1e-10, "got {got}, want {want}");
+        let l = Cholesky::new(&SPD3, 3).unwrap().into_factor();
+        for i in 0..3 {
+            for j in 0..3 {
+                assert!((product(&l, i, j) - SPD3[i * 3 + j]).abs() < 1e-10);
+            }
         }
     }
 
     #[test]
-    fn log_det_matches_known_value() {
-        // det(A) = (5*3*3)^2 = 2025 for the spd3 factor above.
-        let chol = Cholesky::new(&spd3()).unwrap();
-        assert!((chol.log_det() - 2025f64.ln()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn non_square_rejected() {
-        let m = Matrix::zeros(2, 3);
-        assert!(matches!(
-            Cholesky::new(&m),
-            Err(LinalgError::NotSquare { .. })
-        ));
-    }
-
-    #[test]
     fn indefinite_matrix_rejected() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap(); // eigenvalues 3, -1
+        // Eigenvalues 3 and -1.
         assert!(matches!(
-            Cholesky::new(&m),
+            Cholesky::new(&[1.0, 2.0, 2.0, 1.0], 2),
             Err(LinalgError::NotPositiveDefinite { .. })
         ));
     }
 
     #[test]
     fn near_singular_recovers_with_jitter() {
-        // Rank-1 matrix + tiny diagonal: jitter escalation should succeed.
-        let mut m = Matrix::zeros(3, 3);
-        for r in 0..3 {
-            for c in 0..3 {
-                m[(r, c)] = 2.0; // rank one, PSD but singular
-            }
-        }
-        let chol = Cholesky::new(&m).unwrap();
-        // Depending on rounding, the factorization may succeed with zero
-        // jitter or require escalation; either way it must stay usable.
-        let x = chol.solve(&[1.0, 1.0, 1.0]);
-        assert!(x.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn solve_matrix_identity_gives_inverse() {
-        let a = spd3();
-        let chol = Cholesky::new(&a).unwrap();
-        let inv = chol.solve_matrix(&Matrix::identity(3)).unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!(prod.approx_eq(&Matrix::identity(3), 1e-9));
-    }
-
-    #[test]
-    fn multi_rhs_solves_match_single_rhs_bitwise() {
-        let a = spd3();
-        let chol = Cholesky::new(&a).unwrap();
-        let b = Matrix::from_rows(&[&[1.0, -2.0, 0.5], &[3.0, 0.25, -1.0], &[-0.75, 4.0, 2.0]])
-            .unwrap();
-        let lower = chol.solve_lower_multi(&b).unwrap();
-        let upper = chol.solve_upper_multi(&b).unwrap();
-        let full = chol.solve_matrix(&b).unwrap();
-        for c in 0..3 {
-            let col = b.col(c);
-            let yl = chol.solve_lower(&col);
-            let yu = chol.solve_upper(&col);
-            let ys = chol.solve(&col);
-            for r in 0..3 {
-                assert_eq!(lower[(r, c)].to_bits(), yl[r].to_bits());
-                assert_eq!(upper[(r, c)].to_bits(), yu[r].to_bits());
-                assert_eq!(full[(r, c)].to_bits(), ys[r].to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn solve_matrix_shape_mismatch() {
-        let chol = Cholesky::new(&spd3()).unwrap();
-        assert!(chol.solve_matrix(&Matrix::zeros(2, 2)).is_err());
+        // Rank one, PSD but singular: the later pivots are rounding noise
+        // or need jitter, and must still come out tiny, positive and finite.
+        let l = Cholesky::new(&[2.0; 9], 3).unwrap().into_factor();
+        assert!(l.iter().all(|v| v.is_finite()));
+        assert!(l[2] > 0.0 && l[2] < 1e-3, "pivot {}", l[2]);
     }
 
     #[test]
     fn empty_matrix_rejected() {
-        assert!(matches!(
-            Cholesky::new(&Matrix::zeros(0, 0)),
-            Err(LinalgError::Empty)
-        ));
+        assert!(matches!(Cholesky::new(&[], 0), Err(LinalgError::Empty)));
+    }
+
+    #[test]
+    #[should_panic(expected = "entries")]
+    fn non_square_input_panics() {
+        let _ = Cholesky::new(&[1.0; 6], 2);
     }
 }

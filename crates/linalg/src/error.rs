@@ -5,28 +5,12 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum LinalgError {
-    /// Two operands had incompatible shapes.
-    ShapeMismatch {
-        /// Shape of the left operand as `(rows, cols)`.
-        left: (usize, usize),
-        /// Shape of the right operand as `(rows, cols)`.
-        right: (usize, usize),
-        /// Name of the operation that failed.
-        op: &'static str,
-    },
-    /// A matrix that must be square was not.
-    NotSquare {
-        /// Observed shape as `(rows, cols)`.
-        shape: (usize, usize),
-    },
     /// Cholesky factorization failed because the matrix is not positive
     /// definite even after adding the maximum jitter.
     NotPositiveDefinite {
         /// The jitter magnitude that was reached before giving up.
         max_jitter: f64,
     },
-    /// A constructor was given rows of unequal lengths.
-    RaggedRows,
     /// An operation received an empty matrix or vector where data is required.
     Empty,
 }
@@ -34,19 +18,10 @@ pub enum LinalgError {
 impl fmt::Display for LinalgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LinalgError::ShapeMismatch { left, right, op } => write!(
-                f,
-                "shape mismatch in {op}: left is {}x{}, right is {}x{}",
-                left.0, left.1, right.0, right.1
-            ),
-            LinalgError::NotSquare { shape } => {
-                write!(f, "matrix must be square, got {}x{}", shape.0, shape.1)
-            }
             LinalgError::NotPositiveDefinite { max_jitter } => write!(
                 f,
                 "matrix is not positive definite (jitter up to {max_jitter:e} did not help)"
             ),
-            LinalgError::RaggedRows => write!(f, "rows have unequal lengths"),
             LinalgError::Empty => write!(f, "operation requires non-empty data"),
         }
     }
@@ -60,21 +35,10 @@ mod tests {
 
     #[test]
     fn display_messages_are_lowercase_and_informative() {
-        let e = LinalgError::ShapeMismatch {
-            left: (2, 3),
-            right: (4, 5),
-            op: "matmul",
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("matmul"));
-        assert!(msg.contains("2x3"));
-        assert!(msg.contains("4x5"));
-
-        let e = LinalgError::NotSquare { shape: (3, 4) };
-        assert!(e.to_string().contains("3x4"));
-
         let e = LinalgError::NotPositiveDefinite { max_jitter: 1e-4 };
         assert!(e.to_string().contains("positive definite"));
+        assert!(e.to_string().contains("1e-4"));
+        assert!(LinalgError::Empty.to_string().contains("non-empty"));
     }
 
     #[test]

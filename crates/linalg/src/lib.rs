@@ -1,15 +1,17 @@
 #![deny(missing_docs)]
-//! Dense linear algebra and statistics substrate for the VAESA reproduction.
+//! Dense `f64` kernels and statistics for the VAESA reproduction.
 //!
-//! This crate provides the small set of numerical kernels the rest of the
-//! workspace relies on:
+//! This crate holds what the Gaussian-process regression inside Bayesian
+//! optimization needs, plus the workspace's one SIMD tier detection:
 //!
-//! - [`Matrix`]: a row-major dense `f64` matrix with the usual arithmetic,
-//!   products, and views.
-//! - [`Cholesky`]: a Cholesky factorization with jitter escalation, used by
-//!   the Gaussian-process regression inside Bayesian optimization.
-//! - [`triangular`]: blocked multi-right-hand-side triangular solves, the
-//!   batched-inference substrate for GP prediction over candidate pools.
+//! - [`Cholesky`]: the factorization of a dense symmetric matrix, with
+//!   jitter escalation, written straight into a packed lower triangle.
+//! - [`triangular`]: the blocked multi-right-hand-side forward substitution
+//!   over that packed triangle, the batched-inference substrate for GP
+//!   prediction over candidate pools.
+//! - [`simd_level`] and [`cpu_features`]: the SIMD tier every vector kernel
+//!   dispatches on (the solves here and the `vaesa-nn` products), detected
+//!   once per process.
 //! - [`stats`]: summary statistics (means, standard deviations, quantiles,
 //!   correlations) used by the experiment harness and tests.
 //!
@@ -18,25 +20,27 @@
 //! # Examples
 //!
 //! ```
-//! use vaesa_linalg::{Matrix, Cholesky};
+//! use vaesa_linalg::{triangular, Cholesky};
 //!
-//! // Solve the SPD system A x = b.
-//! let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]).unwrap();
-//! let chol = Cholesky::new(&a).unwrap();
-//! let x = chol.solve(&[2.0, 1.0]);
-//! let ax = a.matvec(&x);
-//! assert!((ax[0] - 2.0).abs() < 1e-12 && (ax[1] - 1.0).abs() < 1e-12);
+//! // Factor A = L Lᵀ, then solve L y = b for two right-hand sides at once
+//! // (the columns of the row-major 2 x 2 matrix `b`).
+//! let l = Cholesky::new(&[4.0, 2.0, 2.0, 5.0], 2)?.into_factor();
+//! assert_eq!(l, [2.0, 1.0, 2.0]);
+//! let mut b = [2.0, 4.0, 3.0, 6.0];
+//! triangular::solve_lower_multi(&l, 2, &mut b, 2);
+//! assert_eq!(b, [1.0, 2.0, 1.0, 2.0]);
+//! # Ok::<(), vaesa_linalg::LinalgError>(())
 //! ```
 
 mod cholesky;
 mod error;
-mod matrix;
+mod simd;
 pub mod stats;
 pub mod triangular;
 
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
-pub use matrix::Matrix;
+pub use simd::{cpu_features, simd_level, SimdLevel};
 
-/// Convenience result alias for fallible linear-algebra operations.
-pub type Result<T> = std::result::Result<T, LinalgError>;
+/// Result alias for the fallible operations of this crate.
+type Result<T> = std::result::Result<T, LinalgError>;

@@ -33,16 +33,6 @@ pub fn std_dev(xs: &[f64]) -> Option<f64> {
     variance(xs).map(f64::sqrt)
 }
 
-/// Minimum value, or `None` for an empty slice. NaNs are ignored.
-pub fn min(xs: &[f64]) -> Option<f64> {
-    xs.iter().copied().filter(|v| !v.is_nan()).reduce(f64::min)
-}
-
-/// Maximum value, or `None` for an empty slice. NaNs are ignored.
-pub fn max(xs: &[f64]) -> Option<f64> {
-    xs.iter().copied().filter(|v| !v.is_nan()).reduce(f64::max)
-}
-
 /// Linear-interpolated quantile `q in [0, 1]`, or `None` if the slice is
 /// empty or `q` is out of range.
 ///
@@ -61,11 +51,6 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Median (the 0.5 quantile), or `None` for an empty slice.
-pub fn median(xs: &[f64]) -> Option<f64> {
-    quantile(xs, 0.5)
 }
 
 /// Pearson correlation coefficient between two equal-length slices, or
@@ -105,7 +90,7 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<f64> {
 }
 
 /// Average ranks (1-based) of the values, with ties sharing their mean rank.
-pub fn ranks(xs: &[f64]) -> Vec<f64> {
+fn ranks(xs: &[f64]) -> Vec<f64> {
     let mut idx: Vec<usize> = (0..xs.len()).collect();
     idx.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("NaN in ranks input"));
     let mut out = vec![0.0; xs.len()];
@@ -155,8 +140,6 @@ mod tests {
         assert_eq!(mean(&xs), Some(5.0));
         assert_eq!(variance(&xs), Some(4.0));
         assert_eq!(std_dev(&xs), Some(2.0));
-        assert_eq!(min(&xs), Some(2.0));
-        assert_eq!(max(&xs), Some(9.0));
     }
 
     #[test]
@@ -164,8 +147,6 @@ mod tests {
         assert_eq!(mean(&[]), None);
         assert_eq!(variance(&[]), None);
         assert_eq!(std_dev(&[]), None);
-        assert_eq!(min(&[]), None);
-        assert_eq!(max(&[]), None);
         assert_eq!(quantile(&[], 0.5), None);
         assert_eq!(pearson(&[], &[]), None);
     }
@@ -175,7 +156,7 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(quantile(&xs, 0.0), Some(1.0));
         assert_eq!(quantile(&xs, 1.0), Some(4.0));
-        assert_eq!(median(&xs), Some(2.5));
+        assert_eq!(quantile(&xs, 0.5), Some(2.5));
         assert_eq!(quantile(&xs, 0.25), Some(1.75));
         assert_eq!(quantile(&xs, 1.5), None);
     }

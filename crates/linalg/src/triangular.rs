@@ -1,4 +1,4 @@
-//! Blocked multi-right-hand-side triangular solves.
+//! Blocked multi-right-hand-side forward substitution.
 //!
 //! One K*-matrix solve replaces hundreds of per-candidate vector solves in
 //! the Gaussian-process prediction hot path. The right-hand sides sit in the
@@ -7,21 +7,20 @@
 //! once per row pair instead of once per RHS.
 //!
 //! Per column, the accumulation order and the final division are exactly the
-//! sequence the single-RHS solves perform (subtract `L[i][k]·y[k]` for
+//! sequence a single-RHS solve performs (subtract `L[i][k]·y[k]` for
 //! `k = 0..i` in order, then divide by the diagonal), so batched results are
 //! bit-identical to per-column solves — at any thread count, because columns
 //! are arithmetically independent and the parallel path only partitions them.
 //!
-//! Forward substitution additionally processes output rows in blocks of
-//! `ROW_BLOCK`: each already-solved row streams through cache once per
-//! block instead of once per output row, and the fused update applies it to
-//! all rows of the block. For a fixed output element the subtractions still
-//! arrive in increasing-`k` order, so blocking never changes a single bit.
-//! On `x86_64` the row-update kernels dispatch to an AVX-compiled copy at
-//! runtime; wider registers execute the same IEEE operations, so results
-//! are identical with or without it.
+//! Output rows advance in blocks of `ROW_BLOCK`: each already-solved row
+//! streams through cache once per block instead of once per output row, and
+//! the fused update applies it to all rows of the block. For a fixed output
+//! element the subtractions still arrive in increasing-`k` order, so blocking
+//! never changes a single bit. The row-update kernels have AVX2 and
+//! AVX-512F bodies picked by [`crate::simd_level`]; wider registers execute
+//! the same IEEE operations, never FMA, so every tier gives the same bits.
 
-use crate::Matrix;
+use crate::simd_level;
 
 /// Minimum `n²·m` volume before the column blocks fan out across the thread
 /// pool; below this the fan-out costs more than the work it hides.
@@ -32,7 +31,48 @@ const PAR_MIN_FLOPS: usize = 1 << 20;
 /// alongside it for the RHS widths the DSE hot paths use.
 const ROW_BLOCK: usize = 4;
 
-/// `y[j] -= c · p[j]` across one row pair.
+/// `(y, p, c)`: `y[j] -= c · p[j]` across one row pair.
+type AxpySub = unsafe fn(&mut [f64], &[f64], f64);
+
+/// `(y0, y1, y2, y3, p, c)`: one streamed prior row `p` applied to four
+/// in-progress rows at once, `yr[j] -= c[r] · p[j]`.
+type AxpySub4 = unsafe fn(&mut [f64], &mut [f64], &mut [f64], &mut [f64], &[f64], [f64; 4]);
+
+/// `(y0, y1, y2, y3, pa, pb, ca, cb)`: two consecutive prior rows applied to
+/// four in-progress rows, `yr[j] = (yr[j] − ca[r]·pa[j]) − cb[r]·pb[j]`.
+type AxpySub4x2 =
+    unsafe fn(&mut [f64], &mut [f64], &mut [f64], &mut [f64], &[f64], &[f64], [f64; 4], [f64; 4]);
+
+/// The row-update kernels of one SIMD tier.
+///
+/// # Safety
+///
+/// A SIMD tier's kernels may be called only on a CPU where
+/// [`simd_level`] reports that tier or a wider one.
+struct Kernels {
+    axpy_sub: AxpySub,
+    axpy_sub4: AxpySub4,
+    axpy_sub4x2: AxpySub4x2,
+}
+
+/// The portable bodies; every SIMD tier compiles these same bodies.
+const SCALAR: Kernels = Kernels {
+    axpy_sub: axpy_sub_body,
+    axpy_sub4: axpy_sub4_body,
+    axpy_sub4x2: axpy_sub4x2_body,
+};
+
+/// The kernels of the tier [`simd_level`] selects for this process.
+fn kernels() -> &'static Kernels {
+    match simd_level() {
+        #[cfg(target_arch = "x86_64")]
+        crate::SimdLevel::Avx512 => &avx512::KERNELS,
+        #[cfg(target_arch = "x86_64")]
+        crate::SimdLevel::Avx2 => &avx2::KERNELS,
+        _ => &SCALAR,
+    }
+}
+
 #[inline(always)]
 fn axpy_sub_body(y: &mut [f64], p: &[f64], c: f64) {
     for (y, &p) in y.iter_mut().zip(p) {
@@ -40,7 +80,6 @@ fn axpy_sub_body(y: &mut [f64], p: &[f64], c: f64) {
     }
 }
 
-/// One streamed prior row `p` applied to four in-progress rows at once.
 #[inline(always)]
 fn axpy_sub4_body(
     y0: &mut [f64],
@@ -61,9 +100,8 @@ fn axpy_sub4_body(
     }
 }
 
-/// Two consecutive prior rows applied to four in-progress rows: each output
-/// element is loaded and stored once for both updates, and the two
-/// subtractions happen in `pa`-then-`pb` order — the same sequence two
+/// Each output element is loaded and stored once for both updates, and the
+/// two subtractions happen in `pa`-then-`pb` order — the same sequence two
 /// [`axpy_sub4_body`] calls would perform.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // flat slices keep the kernel registerizable
@@ -91,136 +129,63 @@ fn axpy_sub4x2_body(
     }
 }
 
+/// The scalar bodies compiled under one target feature, so the compiler
+/// widens their loops to that tier's registers.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn axpy_sub_avx512(y: &mut [f64], p: &[f64], c: f64) {
-    axpy_sub_body(y, p, c);
-}
+macro_rules! simd_kernels {
+    ($feature:literal) => {
+        use super::{axpy_sub4_body, axpy_sub4x2_body, axpy_sub_body, Kernels};
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn axpy_sub_avx(y: &mut [f64], p: &[f64], c: f64) {
-    axpy_sub_body(y, p, c);
-}
+        #[target_feature(enable = $feature)]
+        unsafe fn axpy_sub(y: &mut [f64], p: &[f64], c: f64) {
+            axpy_sub_body(y, p, c)
+        }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn axpy_sub4_avx512(
-    y0: &mut [f64],
-    y1: &mut [f64],
-    y2: &mut [f64],
-    y3: &mut [f64],
-    p: &[f64],
-    c: [f64; 4],
-) {
-    axpy_sub4_body(y0, y1, y2, y3, p, c);
-}
+        #[target_feature(enable = $feature)]
+        unsafe fn axpy_sub4(
+            y0: &mut [f64],
+            y1: &mut [f64],
+            y2: &mut [f64],
+            y3: &mut [f64],
+            p: &[f64],
+            c: [f64; 4],
+        ) {
+            axpy_sub4_body(y0, y1, y2, y3, p, c)
+        }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn axpy_sub4_avx(
-    y0: &mut [f64],
-    y1: &mut [f64],
-    y2: &mut [f64],
-    y3: &mut [f64],
-    p: &[f64],
-    c: [f64; 4],
-) {
-    axpy_sub4_body(y0, y1, y2, y3, p, c);
-}
+        #[target_feature(enable = $feature)]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn axpy_sub4x2(
+            y0: &mut [f64],
+            y1: &mut [f64],
+            y2: &mut [f64],
+            y3: &mut [f64],
+            pa: &[f64],
+            pb: &[f64],
+            ca: [f64; 4],
+            cb: [f64; 4],
+        ) {
+            axpy_sub4x2_body(y0, y1, y2, y3, pa, pb, ca, cb)
+        }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn axpy_sub4x2_avx512(
-    y0: &mut [f64],
-    y1: &mut [f64],
-    y2: &mut [f64],
-    y3: &mut [f64],
-    pa: &[f64],
-    pb: &[f64],
-    ca: [f64; 4],
-    cb: [f64; 4],
-) {
-    axpy_sub4x2_body(y0, y1, y2, y3, pa, pb, ca, cb);
+        /// This tier's kernels; callable only where [`crate::simd_level`]
+        /// reports the tier.
+        pub(super) const KERNELS: Kernels = Kernels {
+            axpy_sub,
+            axpy_sub4,
+            axpy_sub4x2,
+        };
+    };
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn axpy_sub4x2_avx(
-    y0: &mut [f64],
-    y1: &mut [f64],
-    y2: &mut [f64],
-    y3: &mut [f64],
-    pa: &[f64],
-    pb: &[f64],
-    ca: [f64; 4],
-    cb: [f64; 4],
-) {
-    axpy_sub4x2_body(y0, y1, y2, y3, pa, pb, ca, cb);
+mod avx2 {
+    simd_kernels!("avx2");
 }
 
-#[inline]
-fn axpy_sub(y: &mut [f64], p: &[f64], c: f64) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: each call is guarded by runtime feature detection.
-        if is_x86_feature_detected!("avx512f") {
-            return unsafe { axpy_sub_avx512(y, p, c) };
-        }
-        if is_x86_feature_detected!("avx") {
-            return unsafe { axpy_sub_avx(y, p, c) };
-        }
-    }
-    axpy_sub_body(y, p, c)
-}
-
-#[inline]
-fn axpy_sub4(
-    y0: &mut [f64],
-    y1: &mut [f64],
-    y2: &mut [f64],
-    y3: &mut [f64],
-    p: &[f64],
-    c: [f64; 4],
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: each call is guarded by runtime feature detection.
-        if is_x86_feature_detected!("avx512f") {
-            return unsafe { axpy_sub4_avx512(y0, y1, y2, y3, p, c) };
-        }
-        if is_x86_feature_detected!("avx") {
-            return unsafe { axpy_sub4_avx(y0, y1, y2, y3, p, c) };
-        }
-    }
-    axpy_sub4_body(y0, y1, y2, y3, p, c)
-}
-
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn axpy_sub4x2(
-    y0: &mut [f64],
-    y1: &mut [f64],
-    y2: &mut [f64],
-    y3: &mut [f64],
-    pa: &[f64],
-    pb: &[f64],
-    ca: [f64; 4],
-    cb: [f64; 4],
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: each call is guarded by runtime feature detection.
-        if is_x86_feature_detected!("avx512f") {
-            return unsafe { axpy_sub4x2_avx512(y0, y1, y2, y3, pa, pb, ca, cb) };
-        }
-        if is_x86_feature_detected!("avx") {
-            return unsafe { axpy_sub4x2_avx(y0, y1, y2, y3, pa, pb, ca, cb) };
-        }
-    }
-    axpy_sub4x2_body(y0, y1, y2, y3, pa, pb, ca, cb)
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    simd_kernels!("avx512f");
 }
 
 /// `y[j] /= d` across one row.
@@ -232,35 +197,11 @@ fn div_row(y: &mut [f64], d: f64) {
 }
 
 /// Offset of row `i` in a packed row-major lower triangle (row `i` holds
-/// `i + 1` entries).
+/// `i + 1` entries); `packed_row_offset(n)` is the length of a packed
+/// triangle of dimension `n`.
 #[inline]
 pub fn packed_row_offset(i: usize) -> usize {
     i * (i + 1) / 2
-}
-
-/// Number of entries in a packed lower triangle of dimension `n`.
-#[inline]
-pub fn packed_len(n: usize) -> usize {
-    n * (n + 1) / 2
-}
-
-/// How the lower-triangular factor is laid out in its backing slice.
-#[derive(Debug, Clone, Copy)]
-enum TriLayout {
-    /// Packed rows: row `i` starts at `i(i+1)/2` and holds `i + 1` entries.
-    Packed,
-    /// Dense row-major `n x n` storage; entries above the diagonal ignored.
-    Dense { n: usize },
-}
-
-impl TriLayout {
-    #[inline]
-    fn row_offset(self, i: usize) -> usize {
-        match self {
-            TriLayout::Packed => packed_row_offset(i),
-            TriLayout::Dense { n } => i * n,
-        }
-    }
 }
 
 /// Forward substitution `L Y = B` on one row-major `n x m` block, in place.
@@ -270,7 +211,8 @@ impl TriLayout {
 /// over the prior rows instead of one per output row — and the triangular
 /// dependencies inside the block are resolved afterwards. Per output element
 /// the subtraction order is still `k = 0..i` ascending, then the division.
-fn forward_block(l: &[f64], layout: TriLayout, n: usize, data: &mut [f64], m: usize) {
+fn forward_block(l: &[f64], n: usize, data: &mut [f64], m: usize) {
+    let kernels = kernels();
     let mut i0 = 0;
     while i0 < n {
         let ib = ROW_BLOCK.min(n - i0);
@@ -282,10 +224,10 @@ fn forward_block(l: &[f64], layout: TriLayout, n: usize, data: &mut [f64], m: us
             let (y1, tail) = tail.split_at_mut(m);
             let (y2, y3) = tail.split_at_mut(m);
             let offs = [
-                layout.row_offset(i0),
-                layout.row_offset(i0 + 1),
-                layout.row_offset(i0 + 2),
-                layout.row_offset(i0 + 3),
+                packed_row_offset(i0),
+                packed_row_offset(i0 + 1),
+                packed_row_offset(i0 + 2),
+                packed_row_offset(i0 + 3),
             ];
             let coeffs = |k: usize| {
                 [
@@ -298,29 +240,37 @@ fn forward_block(l: &[f64], layout: TriLayout, n: usize, data: &mut [f64], m: us
             let mut k = 0;
             while k + 1 < i0 {
                 let (pa, pb) = prior[k * m..(k + 2) * m].split_at(m);
-                axpy_sub4x2(y0, y1, y2, y3, pa, pb, coeffs(k), coeffs(k + 1));
+                let (ca, cb) = (coeffs(k), coeffs(k + 1));
+                // SAFETY: `kernels` picked a tier this CPU runs.
+                unsafe { (kernels.axpy_sub4x2)(y0, y1, y2, y3, pa, pb, ca, cb) };
                 k += 2;
             }
             if k < i0 {
-                axpy_sub4(y0, y1, y2, y3, &prior[k * m..(k + 1) * m], coeffs(k));
+                let p = &prior[k * m..(k + 1) * m];
+                // SAFETY: `kernels` picked a tier this CPU runs.
+                unsafe { (kernels.axpy_sub4)(y0, y1, y2, y3, p, coeffs(k)) };
             }
         } else {
             for r in 0..ib {
-                let off = layout.row_offset(i0 + r);
+                let off = packed_row_offset(i0 + r);
                 let row_r = &mut block[r * m..(r + 1) * m];
                 for k in 0..i0 {
-                    axpy_sub(row_r, &prior[k * m..(k + 1) * m], l[off + k]);
+                    let p = &prior[k * m..(k + 1) * m];
+                    // SAFETY: `kernels` picked a tier this CPU runs.
+                    unsafe { (kernels.axpy_sub)(row_r, p, l[off + k]) };
                 }
             }
         }
         // Phase 2: triangular dependencies inside the block, then divide.
         for r in 0..ib {
             let i = i0 + r;
-            let off = layout.row_offset(i);
+            let off = packed_row_offset(i);
             let (done, row_i) = block.split_at_mut(r * m);
             let row_i = &mut row_i[..m];
             for q in 0..r {
-                axpy_sub(row_i, &done[q * m..(q + 1) * m], l[off + i0 + q]);
+                let p = &done[q * m..(q + 1) * m];
+                // SAFETY: `kernels` picked a tier this CPU runs.
+                unsafe { (kernels.axpy_sub)(row_i, p, l[off + i0 + q]) };
             }
             div_row(row_i, l[off + i]);
         }
@@ -328,109 +278,55 @@ fn forward_block(l: &[f64], layout: TriLayout, n: usize, data: &mut [f64], m: us
     }
 }
 
-/// Back substitution `Lᵀ X = Y` on one row-major `n x m` block, in place.
-fn backward_block(l: &[f64], layout: TriLayout, n: usize, data: &mut [f64], m: usize) {
-    for i in (0..n).rev() {
-        let (head, tail) = data.split_at_mut((i + 1) * m);
-        let row_i = &mut head[i * m..];
-        for k in (i + 1)..n {
-            let lki = l[layout.row_offset(k) + i];
-            axpy_sub(row_i, &tail[(k - i - 1) * m..(k - i) * m], lki);
-        }
-        div_row(row_i, l[layout.row_offset(i) + i]);
-    }
-}
-
-/// Runs a triangular solve over all columns of `b`, splitting the columns
-/// into per-thread blocks when the problem is large enough. Each block is
-/// solved with the same per-column arithmetic, so the split never changes
-/// results.
-fn solve_multi_dispatch(l: &[f64], layout: TriLayout, n: usize, b: &mut Matrix, lower: bool) {
-    let m = b.cols();
-    if n == 0 || m == 0 {
-        return;
-    }
-    let threads = vaesa_par::num_threads();
-    if threads > 1 && m >= 2 && n * n * m >= PAR_MIN_FLOPS {
-        let ranges = vaesa_par::split_ranges(m, threads.min(m));
-        let src = b.as_slice();
-        let solved: Vec<Vec<f64>> = vaesa_par::par_map(&ranges, |r| {
-            let w = r.len();
-            let mut block = vec![0.0; n * w];
-            for i in 0..n {
-                block[i * w..(i + 1) * w].copy_from_slice(&src[i * m + r.start..i * m + r.end]);
-            }
-            if lower {
-                forward_block(l, layout, n, &mut block, w);
-            } else {
-                backward_block(l, layout, n, &mut block, w);
-            }
-            block
-        });
-        let dst = b.as_mut_slice();
-        for (r, block) in ranges.iter().zip(solved) {
-            let w = r.len();
-            for i in 0..n {
-                dst[i * m + r.start..i * m + r.end].copy_from_slice(&block[i * w..(i + 1) * w]);
-            }
-        }
-    } else if lower {
-        forward_block(l, layout, n, b.as_mut_slice(), m);
-    } else {
-        backward_block(l, layout, n, b.as_mut_slice(), m);
-    }
-}
-
-fn check_shapes(l_len: usize, n: usize, b: &Matrix) {
-    assert_eq!(
-        l_len,
-        packed_len(n),
-        "packed triangle length {} != n(n+1)/2 for n = {n}",
-        l_len
-    );
-    assert_eq!(b.rows(), n, "rhs has {} rows, factor dim {n}", b.rows());
-}
-
-/// Solves `L Y = B` in place for every column of `b` (`n x m`), where `l`
-/// is a packed row-major lower triangle of dimension `n`.
+/// Solves `L Y = B` in place for every column of the row-major `n x m`
+/// matrix `b`, where `l` is a packed row-major lower triangle of dimension
+/// `n` (see [`packed_row_offset`]).
 ///
 /// Column `j` of the result is bit-identical to a single-RHS forward
 /// substitution on column `j` of `b`, at any thread count.
 ///
 /// # Panics
 ///
-/// Panics if `l.len() != n(n+1)/2` or `b.rows() != n`.
-pub fn solve_lower_multi(l: &[f64], n: usize, b: &mut Matrix) {
-    check_shapes(l.len(), n, b);
-    solve_multi_dispatch(l, TriLayout::Packed, n, b, true);
+/// Panics if `l.len() != n(n+1)/2` or `b.len() != n * m`.
+pub fn solve_lower_multi(l: &[f64], n: usize, b: &mut [f64], m: usize) {
+    solve_lower_multi_threads(l, n, b, m, vaesa_par::num_threads());
 }
 
-/// Solves `Lᵀ X = Y` in place for every column of `b` (`n x m`), where `l`
-/// is a packed row-major lower triangle of dimension `n`.
-///
-/// Column `j` of the result is bit-identical to a single-RHS back
-/// substitution on column `j` of `b`, at any thread count.
-///
-/// # Panics
-///
-/// Panics if `l.len() != n(n+1)/2` or `b.rows() != n`.
-pub fn solve_upper_multi(l: &[f64], n: usize, b: &mut Matrix) {
-    check_shapes(l.len(), n, b);
-    solve_multi_dispatch(l, TriLayout::Packed, n, b, false);
-}
-
-/// [`solve_lower_multi`] for a dense row-major `n x n` lower-triangular
-/// factor (entries above the diagonal are ignored).
-pub(crate) fn solve_lower_multi_dense(l: &Matrix, b: &mut Matrix) {
-    let n = l.rows();
-    solve_multi_dispatch(l.as_slice(), TriLayout::Dense { n }, n, b, true);
-}
-
-/// [`solve_upper_multi`] for a dense row-major `n x n` lower-triangular
-/// factor (entries above the diagonal are ignored).
-pub(crate) fn solve_upper_multi_dense(l: &Matrix, b: &mut Matrix) {
-    let n = l.rows();
-    solve_multi_dispatch(l.as_slice(), TriLayout::Dense { n }, n, b, false);
+/// [`solve_lower_multi`] on at most `threads` workers. Large problems split
+/// the columns into per-thread blocks, each solved with the same per-column
+/// arithmetic, so the split never changes results.
+fn solve_lower_multi_threads(l: &[f64], n: usize, b: &mut [f64], m: usize, threads: usize) {
+    assert_eq!(
+        l.len(),
+        packed_row_offset(n),
+        "packed triangle length {} != n(n+1)/2 for n = {n}",
+        l.len()
+    );
+    assert_eq!(b.len(), n * m, "rhs has {} entries, not {n} x {m}", b.len());
+    if n == 0 || m == 0 {
+        return;
+    }
+    if threads > 1 && m >= 2 && n * n * m >= PAR_MIN_FLOPS {
+        let ranges = vaesa_par::split_ranges(m, threads.min(m));
+        let src = &*b;
+        let solved: Vec<Vec<f64>> = vaesa_par::par_map_threads(&ranges, threads, |r| {
+            let w = r.len();
+            let mut block = vec![0.0; n * w];
+            for i in 0..n {
+                block[i * w..(i + 1) * w].copy_from_slice(&src[i * m + r.start..i * m + r.end]);
+            }
+            forward_block(l, n, &mut block, w);
+            block
+        });
+        for (r, block) in ranges.iter().zip(solved) {
+            let w = r.len();
+            for i in 0..n {
+                b[i * m + r.start..i * m + r.end].copy_from_slice(&block[i * w..(i + 1) * w]);
+            }
+        }
+    } else {
+        forward_block(l, n, b, m);
+    }
 }
 
 #[cfg(test)]
@@ -449,7 +345,7 @@ mod tests {
     /// A well-conditioned packed lower triangle: unit-scale diagonal,
     /// small off-diagonal entries.
     fn random_packed(n: usize, seed: &mut u64) -> Vec<f64> {
-        let mut l = Vec::with_capacity(packed_len(n));
+        let mut l = Vec::with_capacity(packed_row_offset(n));
         for i in 0..n {
             for _ in 0..i {
                 l.push(0.4 * lcg(seed));
@@ -459,12 +355,8 @@ mod tests {
         l
     }
 
-    fn random_matrix(rows: usize, cols: usize, seed: &mut u64) -> Matrix {
-        let mut m = Matrix::zeros(rows, cols);
-        for v in m.as_mut_slice() {
-            *v = lcg(seed) * 3.0;
-        }
-        m
+    fn random_rhs(len: usize, seed: &mut u64) -> Vec<f64> {
+        (0..len).map(|_| lcg(seed) * 3.0).collect()
     }
 
     /// Reference single-RHS forward substitution on a packed triangle.
@@ -481,87 +373,45 @@ mod tests {
         y
     }
 
-    /// Reference single-RHS back substitution on a packed triangle.
-    fn solve_upper_single(l: &[f64], n: usize, b: &[f64]) -> Vec<f64> {
-        let mut x = b.to_vec();
-        for i in (0..n).rev() {
-            let mut sum = x[i];
-            for k in (i + 1)..n {
-                sum -= l[packed_row_offset(k) + i] * x[k];
+    /// Checks `solve_lower_multi` column by column against the reference.
+    fn assert_matches_per_column(l: &[f64], n: usize, b: &[f64], m: usize) {
+        let mut out = b.to_vec();
+        solve_lower_multi(l, n, &mut out, m);
+        for j in 0..m {
+            let col: Vec<f64> = (0..n).map(|i| b[i * m + j]).collect();
+            let y = solve_lower_single(l, n, &col);
+            for i in 0..n {
+                assert_eq!(out[i * m + j].to_bits(), y[i].to_bits(), "({i},{j})");
             }
-            x[i] = sum / l[packed_row_offset(i) + i];
         }
-        x
     }
 
     #[test]
-    fn multi_solves_match_single_rhs_bitwise() {
+    fn multi_solve_matches_single_rhs_bitwise() {
         let mut seed = 7u64;
         for (n, m) in [(1, 1), (3, 5), (17, 9), (40, 33)] {
             let l = random_packed(n, &mut seed);
-            let b = random_matrix(n, m, &mut seed);
-            let mut lower = b.clone();
-            solve_lower_multi(&l, n, &mut lower);
-            let mut upper = b.clone();
-            solve_upper_multi(&l, n, &mut upper);
-            for j in 0..m {
-                let col: Vec<f64> = (0..n).map(|i| b[(i, j)]).collect();
-                let yl = solve_lower_single(&l, n, &col);
-                let yu = solve_upper_single(&l, n, &col);
-                for i in 0..n {
-                    assert_eq!(lower[(i, j)].to_bits(), yl[i].to_bits(), "lower ({i},{j})");
-                    assert_eq!(upper[(i, j)].to_bits(), yu[i].to_bits(), "upper ({i},{j})");
-                }
-            }
+            let b = random_rhs(n * m, &mut seed);
+            assert_matches_per_column(&l, n, &b, m);
         }
     }
 
     #[test]
     fn parallel_split_is_bit_identical_to_serial() {
-        // Large enough to cross PAR_MIN_FLOPS so the ranged path runs.
         let mut seed = 11u64;
         let n = 120;
         let m = 96;
+        // Large enough to cross PAR_MIN_FLOPS so the ranged path runs.
+        assert!(n * n * m >= PAR_MIN_FLOPS);
         let l = random_packed(n, &mut seed);
-        let b = random_matrix(n, m, &mut seed);
-        std::env::set_var("VAESA_THREADS", "1");
+        let b = random_rhs(n * m, &mut seed);
         let mut base = b.clone();
-        solve_lower_multi(&l, n, &mut base);
-        solve_upper_multi(&l, n, &mut base);
-        for threads in ["2", "5"] {
-            std::env::set_var("VAESA_THREADS", threads);
+        solve_lower_multi_threads(&l, n, &mut base, m, 1);
+        for threads in [2, 5] {
             let mut out = b.clone();
-            solve_lower_multi(&l, n, &mut out);
-            solve_upper_multi(&l, n, &mut out);
-            for (a, b) in base.as_slice().iter().zip(out.as_slice()) {
+            solve_lower_multi_threads(&l, n, &mut out, m, threads);
+            for (a, b) in base.iter().zip(&out) {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads = {threads}");
-            }
-        }
-        std::env::remove_var("VAESA_THREADS");
-    }
-
-    #[test]
-    fn round_trip_recovers_rhs() {
-        let mut seed = 3u64;
-        let n = 25;
-        let l = random_packed(n, &mut seed);
-        let b = random_matrix(n, 7, &mut seed);
-        let mut x = b.clone();
-        solve_lower_multi(&l, n, &mut x);
-        solve_upper_multi(&l, n, &mut x);
-        // Multiply back: (L Lᵀ) x should give b.
-        for j in 0..7 {
-            for i in 0..n {
-                // (L Lᵀ)[i][r] = Σ_k L[i][k] L[r][k], k ≤ min(i, r)
-                let mut acc = 0.0;
-                for r in 0..n {
-                    let mut entry = 0.0;
-                    for k in 0..=i.min(r) {
-                        entry += l[packed_row_offset(i) + k] * l[packed_row_offset(r) + k];
-                    }
-                    acc += entry * x[(r, j)];
-                }
-                assert!((acc - b[(i, j)]).abs() < 1e-9, "({i},{j}): {acc}");
             }
         }
     }
@@ -570,22 +420,123 @@ mod tests {
     #[should_panic(expected = "rhs has")]
     fn shape_mismatch_panics() {
         let l = random_packed(4, &mut 1u64);
-        let mut b = Matrix::zeros(3, 2);
-        solve_lower_multi(&l, 4, &mut b);
+        solve_lower_multi(&l, 4, &mut [0.0; 6], 2);
     }
 
     #[test]
     fn empty_rhs_is_a_no_op() {
         let l = random_packed(4, &mut 5u64);
-        let mut b = Matrix::zeros(4, 0);
-        solve_lower_multi(&l, 4, &mut b);
-        solve_upper_multi(&l, 4, &mut b);
-        assert_eq!(b.shape(), (4, 0));
+        solve_lower_multi(&l, 4, &mut [], 0);
+    }
+
+    /// The tiers this CPU runs, scalar included, by name.
+    fn tiers() -> Vec<(&'static str, &'static Kernels)> {
+        #[allow(unused_mut)]
+        let mut tiers = vec![("scalar", &SCALAR)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if simd_level() >= crate::SimdLevel::Avx2 {
+                tiers.push(("avx2", &avx2::KERNELS));
+            }
+            if simd_level() >= crate::SimdLevel::Avx512 {
+                tiers.push(("avx512f", &avx512::KERNELS));
+            }
+        }
+        tiers
+    }
+
+    /// Normal values mixed with signed zeros, subnormals, ±Inf, NaN and
+    /// overflowing magnitudes.
+    fn values(len: usize, salt: u64) -> Vec<f64> {
+        let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let sign = if state & (1 << 20) == 0 { 1.0 } else { -1.0 };
+                match (state >> 58) % 16 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 | 3 => sign * f64::from_bits((state >> 13) & ((1 << 40) - 1)),
+                    4 => sign * f64::INFINITY,
+                    5 => sign * 1e300,
+                    6 => f64::NAN,
+                    _ => ((state >> 11) as f64 / (1u64 << 53) as f64) * 4.0 - 2.0,
+                }
+            })
+            .collect()
+    }
+
+    /// Same bits, except that a NaN only has to sit at the same position.
+    fn assert_same_bits(want: &[f64], got: &[f64], what: &str) {
+        assert_eq!(want.len(), got.len());
+        for (e, (&w, &g)) in want.iter().zip(got).enumerate() {
+            let same = if w.is_nan() {
+                g.is_nan()
+            } else {
+                w.to_bits() == g.to_bits()
+            };
+            assert!(same, "{what}: element {e} is {g:e}, expected {w:e}");
+        }
+    }
+
+    /// Every tier's three kernels give, per element, the bits of the
+    /// documented scalar expression: `y − c·p` for `axpy_sub` and
+    /// `axpy_sub4`, and `(y − ca·pa) − cb·pb` for `axpy_sub4x2`.
+    #[test]
+    fn every_tier_matches_the_scalar_expression_bit_for_bit() {
+        for len in 0..=17 {
+            let salt = len as u64 * 11;
+            let rows: Vec<Vec<f64>> = (0..4).map(|r| values(len, salt + r)).collect();
+            let (pa, pb) = (values(len, salt + 4), values(len, salt + 5));
+            let c = values(8, salt + 6);
+            let ca = [c[0], c[1], c[2], c[3]];
+            let cb = [c[4], c[5], c[6], c[7]];
+            for (name, k) in tiers() {
+                let what = |kernel: &str, r: usize| format!("{name} {kernel} row {r} len {len}");
+                // SAFETY (every call): `tiers` lists only what this CPU runs.
+                let mut y = rows[0].clone();
+                unsafe { (k.axpy_sub)(&mut y, &pa, ca[0]) };
+                let want: Vec<f64> = rows[0]
+                    .iter()
+                    .zip(&pa)
+                    .map(|(y, p)| y - ca[0] * p)
+                    .collect();
+                assert_same_bits(&want, &y, &what("axpy_sub", 0));
+
+                let mut y = rows.clone();
+                let [y0, y1, y2, y3] = &mut y[..] else {
+                    unreachable!()
+                };
+                unsafe { (k.axpy_sub4)(y0, y1, y2, y3, &pa, ca) };
+                for (r, got) in y.iter().enumerate() {
+                    let want: Vec<f64> = rows[r]
+                        .iter()
+                        .zip(&pa)
+                        .map(|(y, p)| y - ca[r] * p)
+                        .collect();
+                    assert_same_bits(&want, got, &what("axpy_sub4", r));
+                }
+
+                let mut y = rows.clone();
+                let [y0, y1, y2, y3] = &mut y[..] else {
+                    unreachable!()
+                };
+                unsafe { (k.axpy_sub4x2)(y0, y1, y2, y3, &pa, &pb, ca, cb) };
+                for (r, got) in y.iter().enumerate() {
+                    let want: Vec<f64> = (0..len)
+                        .map(|j| (rows[r][j] - ca[r] * pa[j]) - cb[r] * pb[j])
+                        .collect();
+                    assert_same_bits(&want, got, &what("axpy_sub4x2", r));
+                }
+            }
+        }
     }
 
     proptest! {
         /// Multi-RHS solves agree with column-by-column single-RHS solves on
-        /// random well-conditioned systems (the satellite-task property).
+        /// random well-conditioned systems.
         #[test]
         fn multi_rhs_agrees_with_per_column(
             n in 1usize..24,
@@ -593,7 +544,7 @@ mod tests {
             raw in proptest::collection::vec(-1.0f64..1.0, 24 * 25 / 2 + 24 * 12),
         ) {
             // Build the packed factor and RHS from the raw pool.
-            let mut l = Vec::with_capacity(packed_len(n));
+            let mut l = Vec::with_capacity(packed_row_offset(n));
             let mut it = raw.iter().copied();
             for i in 0..n {
                 for _ in 0..i {
@@ -602,23 +553,8 @@ mod tests {
                 // Diagonal bounded away from zero: well-conditioned.
                 l.push(1.0 + it.next().unwrap_or(0.0).abs());
             }
-            let mut b = Matrix::zeros(n, m);
-            for v in b.as_mut_slice() {
-                *v = 2.5 * it.next().unwrap_or(0.7);
-            }
-            let mut lower = b.clone();
-            solve_lower_multi(&l, n, &mut lower);
-            let mut upper = b.clone();
-            solve_upper_multi(&l, n, &mut upper);
-            for j in 0..m {
-                let col: Vec<f64> = (0..n).map(|i| b[(i, j)]).collect();
-                let yl = solve_lower_single(&l, n, &col);
-                let yu = solve_upper_single(&l, n, &col);
-                for i in 0..n {
-                    prop_assert_eq!(lower[(i, j)].to_bits(), yl[i].to_bits());
-                    prop_assert_eq!(upper[(i, j)].to_bits(), yu[i].to_bits());
-                }
-            }
+            let b: Vec<f64> = (0..n * m).map(|_| 2.5 * it.next().unwrap_or(0.7)).collect();
+            assert_matches_per_column(&l, n, &b, m);
         }
     }
 }

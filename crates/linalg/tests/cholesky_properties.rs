@@ -1,68 +1,51 @@
-//! Property tests for the Cholesky factorization over random SPD matrices.
+//! Property tests for the packed Cholesky factor over random SPD matrices.
 
 use proptest::prelude::*;
-use vaesa_linalg::{Cholesky, Matrix};
+use vaesa_linalg::triangular::{packed_row_offset, solve_lower_multi};
+use vaesa_linalg::Cholesky;
 
-/// Builds a random SPD matrix `A = BᵀB + I` from a flat coefficient vector.
-fn spd_from(coeffs: &[f64], n: usize) -> Matrix {
-    let b = Matrix::from_vec(n, n, coeffs.to_vec()).expect("square");
-    let bt_b = b.transpose().matmul(&b).expect("square product");
-    bt_b.add(&Matrix::identity(n)).expect("same shape")
+/// A random SPD matrix `A = BᵀB + I` (dense, row-major) from a flat
+/// coefficient vector.
+fn spd_from(coeffs: &[f64], n: usize) -> Vec<f64> {
+    let mut a = vec![0.0; n * n];
+    for i in 0..n {
+        for j in 0..n {
+            let dot: f64 = (0..n).map(|k| coeffs[k * n + i] * coeffs[k * n + j]).sum();
+            a[i * n + j] = dot + if i == j { 1.0 } else { 0.0 };
+        }
+    }
+    a
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn factorization_reconstructs_and_solves(
+    fn factor_reconstructs_and_forward_solves(
         coeffs in proptest::collection::vec(-3.0f64..3.0, 16),
         rhs in proptest::collection::vec(-10.0f64..10.0, 4),
     ) {
-        let a = spd_from(&coeffs, 4);
-        let chol = Cholesky::new(&a).expect("SPD by construction");
+        let n = 4;
+        let a = spd_from(&coeffs, n);
+        let l = Cholesky::new(&a, n).expect("SPD by construction").into_factor();
+        let row = |i: usize| &l[packed_row_offset(i)..packed_row_offset(i + 1)];
+        let scale = 1.0 + a.iter().fold(0.0f64, |m, v| m.max(v.abs()));
 
         // L Lᵀ = A
-        let l = chol.factor();
-        let rec = l.matmul(&l.transpose()).expect("square");
-        prop_assert!(rec.approx_eq(&a, 1e-8 * (1.0 + a.max_abs())));
-
-        // A x = b round-trips.
-        let x = chol.solve(&rhs);
-        let b2 = a.matvec(&x);
-        for (want, got) in rhs.iter().zip(&b2) {
-            prop_assert!((want - got).abs() <= 1e-7 * (1.0 + want.abs()));
-        }
-    }
-
-    #[test]
-    fn log_det_is_sum_of_log_pivots_squared(
-        coeffs in proptest::collection::vec(-2.0f64..2.0, 9),
-    ) {
-        let a = spd_from(&coeffs, 3);
-        let chol = Cholesky::new(&a).expect("SPD");
-        // det(A) from the 3x3 cofactor expansion.
-        let d = |i: usize, j: usize| a[(i, j)];
-        let det = d(0, 0) * (d(1, 1) * d(2, 2) - d(1, 2) * d(2, 1))
-            - d(0, 1) * (d(1, 0) * d(2, 2) - d(1, 2) * d(2, 0))
-            + d(0, 2) * (d(1, 0) * d(2, 1) - d(1, 1) * d(2, 0));
-        prop_assert!(det > 0.0);
-        prop_assert!((chol.log_det() - det.ln()).abs() <= 1e-6 * (1.0 + det.ln().abs()));
-    }
-
-    #[test]
-    fn solve_matrix_agrees_with_columnwise_solve(
-        coeffs in proptest::collection::vec(-2.0f64..2.0, 9),
-        rhs in proptest::collection::vec(-5.0f64..5.0, 6),
-    ) {
-        let a = spd_from(&coeffs, 3);
-        let chol = Cholesky::new(&a).expect("SPD");
-        let b = Matrix::from_vec(3, 2, rhs.clone()).expect("3x2");
-        let x = chol.solve_matrix(&b).expect("shape ok");
-        for col in 0..2 {
-            let xc = chol.solve(&b.col(col));
-            for row in 0..3 {
-                prop_assert!((x[(row, col)] - xc[row]).abs() < 1e-10);
+        for i in 0..n {
+            for j in 0..n {
+                let k = i.min(j) + 1;
+                let rec: f64 = row(i)[..k].iter().zip(&row(j)[..k]).map(|(x, y)| x * y).sum();
+                prop_assert!((rec - a[i * n + j]).abs() <= 1e-8 * scale);
             }
+        }
+
+        // L y = b round-trips.
+        let mut y = rhs.clone();
+        solve_lower_multi(&l, n, &mut y, 1);
+        for (i, want) in rhs.iter().enumerate() {
+            let got: f64 = row(i).iter().zip(&y).map(|(x, y)| x * y).sum();
+            prop_assert!((want - got).abs() <= 1e-7 * (1.0 + want.abs()));
         }
     }
 }

@@ -51,11 +51,6 @@ impl Batcher {
         self.n == 0
     }
 
-    /// Number of batches per epoch.
-    pub fn batches_per_epoch(&self) -> usize {
-        self.n.div_ceil(self.batch_size)
-    }
-
     /// Produces one epoch of shuffled index batches.
     pub fn epoch(&self, rng: &mut impl Rng) -> Vec<Vec<usize>> {
         let mut idx: Vec<usize> = (0..self.n).collect();
@@ -119,9 +114,9 @@ mod tests {
     #[test]
     fn epoch_covers_all_indices_once() {
         let b = Batcher::new(10, 3);
-        assert_eq!(b.batches_per_epoch(), 4);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let batches = b.epoch(&mut rng);
+        assert_eq!(batches.len(), 4);
         let mut all: Vec<usize> = batches.into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, (0..10).collect::<Vec<_>>());

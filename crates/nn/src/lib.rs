@@ -8,7 +8,7 @@
 //! - [`Tensor`]: dense 2-D `f64` arrays (batch × features). Its matmul
 //!   family, and the elementwise passes of a fused layer, run AVX2 or
 //!   AVX-512 f64 kernels where the CPU has them, with the same bits as the
-//!   scalar kernels ([`cpu_features`] names what the CPU offers).
+//!   scalar kernels (`vaesa_linalg::simd_level` picks the tier).
 //! - [`Graph`]: a define-by-run autodiff tape with the operations the VAESA
 //!   models need (matmul, a fused fully connected layer, broadcasting bias,
 //!   leaky ReLU/sigmoid/tanh, exp, slicing/concatenation, MSE and
@@ -64,5 +64,4 @@ pub use data::{rand_uniform, randn, randn_into, Batcher};
 pub use graph::{finite_diff_check, Graph, VarId};
 pub use layers::{Activation, Linear, Mlp, MlpPass, Param};
 pub use optim::Adam;
-pub use simd64::cpu_features;
 pub use tensor::Tensor;

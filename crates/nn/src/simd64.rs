@@ -5,13 +5,13 @@
 //! elementwise epilogues of a fused layer.
 //!
 //! Each kernel has a scalar body plus AVX2 and AVX-512F bodies generated
-//! from one template; the tier is picked once per process by runtime
-//! feature detection ([`simd_level`]), with the scalar bodies as the
-//! fallback. The SIMD bodies vectorize across output columns and give every
-//! output element exactly the operations of the scalar body, in the same
-//! order, each rounded separately — never FMA. Every tier therefore
-//! produces the same IEEE-754 bits on every machine (DESIGN.md §3.2,
-//! "Numerics"). Per output element:
+//! from one template; the tier is the one `vaesa_linalg::simd_level`
+//! detects once per process for every dense `f64` kernel, with the scalar
+//! bodies as the fallback. The SIMD bodies vectorize across output columns
+//! and give every output element exactly the operations of the scalar
+//! body, in the same order, each rounded separately — never FMA. Every
+//! tier therefore produces the same IEEE-754 bits on every machine
+//! (DESIGN.md §3.2, "Numerics"). Per output element:
 //!
 //! - `matmul`: starting from `0.0`, one add per panel of [`PANEL`]
 //!   consecutive inner-dimension rows, panels in increasing `k`, of the
@@ -39,7 +39,7 @@ use crate::tensor::{leaky_relu, leaky_slope_of_output, run_rowblocks, sigmoid};
 use crate::tensor::{sigmoid_slope, tanh_slope};
 use crate::Activation;
 use std::cell::RefCell;
-use std::sync::OnceLock;
+use vaesa_linalg::simd_level;
 
 /// Inner-dimension panel width of the `matmul` accumulation.
 const PANEL: usize = 4;
@@ -90,67 +90,13 @@ thread_local! {
     static TRANSPOSED: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// SIMD tier selected once per process from runtime feature detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SimdLevel {
-    Avx512,
-    Avx2,
-    Scalar,
-}
-
-/// The widest tier this CPU supports. The bodies never use FMA, so only
-/// the vector width is detected.
-fn simd_level() -> SimdLevel {
-    static L: OnceLock<SimdLevel> = OnceLock::new();
-    *L.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return SimdLevel::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return SimdLevel::Avx2;
-            }
-        }
-        SimdLevel::Scalar
-    })
-}
-
-/// The SIMD capabilities detected on this machine, as a stable `+`-joined
-/// string (e.g. `"avx2+avx512f+fma"`), or `"baseline"` when none of the
-/// listed features are present (including non-x86 builds).
-///
-/// Run manifests record this so results and timings can be grouped by the
-/// hardware that produced them: a median over records from different
-/// machines is meaningless for wall-time gates.
-pub fn cpu_features() -> String {
-    let mut feats: Vec<&str> = Vec::new();
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            feats.push("avx2");
-        }
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            feats.push("avx512f");
-        }
-        if std::arch::is_x86_feature_detected!("fma") {
-            feats.push("fma");
-        }
-    }
-    if feats.is_empty() {
-        "baseline".to_string()
-    } else {
-        feats.join("+")
-    }
-}
-
 /// The tier [`simd_level`] selects for this process.
 pub(crate) fn tier() -> &'static Tier {
     match simd_level() {
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => &avx512::TIER,
+        vaesa_linalg::SimdLevel::Avx512 => &avx512::TIER,
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => &avx2::TIER,
+        vaesa_linalg::SimdLevel::Avx2 => &avx2::TIER,
         _ => &SCALAR,
     }
 }
@@ -1006,24 +952,16 @@ mod avx512 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn cpu_features_is_nonempty_and_stable() {
-        let a = cpu_features();
-        assert!(!a.is_empty());
-        assert_eq!(a, cpu_features());
-        assert!(a == "baseline" || a.split('+').all(|f| !f.is_empty()));
-    }
-
     /// The SIMD tiers this CPU can run, by name.
     fn simd_tiers() -> Vec<(&'static str, &'static Tier)> {
         #[allow(unused_mut)]
         let mut tiers = Vec::new();
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2") {
+            if simd_level() >= vaesa_linalg::SimdLevel::Avx2 {
                 tiers.push(("avx2", &avx2::TIER));
             }
-            if std::arch::is_x86_feature_detected!("avx512f") {
+            if simd_level() >= vaesa_linalg::SimdLevel::Avx512 {
                 tiers.push(("avx512f", &avx512::TIER));
             }
         }

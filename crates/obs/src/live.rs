@@ -215,7 +215,6 @@ impl Histogram {
 struct Slice {
     sec: u64,
     count: u64,
-    sum_ns: u64,
     buckets: Vec<u32>,
 }
 
@@ -224,7 +223,6 @@ impl Slice {
         Slice {
             sec: u64::MAX,
             count: 0,
-            sum_ns: 0,
             buckets: vec![0; BUCKET_COUNT],
         }
     }
@@ -232,7 +230,6 @@ impl Slice {
     fn reset(&mut self, sec: u64) {
         self.sec = sec;
         self.count = 0;
-        self.sum_ns = 0;
         self.buckets.iter_mut().for_each(|b| *b = 0);
     }
 }
@@ -288,7 +285,6 @@ impl SlidingWindow {
         }
         let slice = &mut slices[slot];
         slice.count += 1;
-        slice.sum_ns = slice.sum_ns.saturating_add(v_ns);
         slice.buckets[bucket_index(v_ns)] += 1;
     }
 
@@ -300,18 +296,6 @@ impl SlidingWindow {
     /// Events per second over the window ending at `now_sec`.
     pub fn rate(&self, now_sec: u64) -> f64 {
         self.count(now_sec) as f64 / self.window as f64
-    }
-
-    /// Mean sample over the window, or `None` when the window is empty.
-    pub fn mean_ns(&self, now_sec: u64) -> Option<f64> {
-        let (count, sum) = {
-            let slices = self.state.lock().expect("window lock");
-            slices
-                .iter()
-                .filter(|s| Self::live(s.sec, now_sec, self.window))
-                .fold((0u64, 0u64), |(c, t), s| (c + s.count, t + s.sum_ns))
-        };
-        (count > 0).then(|| sum as f64 / count as f64)
     }
 
     /// The `q`-quantile over the window at bucket resolution, or `None`
@@ -565,7 +549,6 @@ mod tests {
         let p50 = w.quantile_ns(4, 0.5).unwrap() as f64;
         let exact = 500_000.0;
         assert!((p50 - exact).abs() / exact <= 0.25, "p50 {p50}");
-        assert!(w.mean_ns(4).unwrap() > 0.0);
         // At now=6 the window [2, 6] retains only seconds 2..=4.
         assert_eq!(w.count(6), 60);
     }

@@ -48,11 +48,6 @@ impl Scale {
         self.domain
     }
 
-    /// Returns `true` for logarithmic scales.
-    pub fn is_log(&self) -> bool {
-        self.log
-    }
-
     /// Maps a data value into pixel space (values outside the domain
     /// extrapolate).
     pub fn map(&self, v: f64) -> f64 {

@@ -1,6 +1,6 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use vaesa_nn::{randn, Activation, Graph, Mlp, MlpPass, Tensor, VarId};
+use vaesa_nn::{Activation, Graph, Mlp, MlpPass, Tensor, VarId};
 
 /// Hyperparameters of the VAESA model (§III-B1, §IV-B).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -436,11 +436,6 @@ impl VaesaModel {
             (w_lat, w_en),
         )
     }
-
-    /// Draws `n` latent samples from the prior `N(0, I)`.
-    pub fn sample_prior(&self, n: usize, rng: &mut impl Rng) -> Tensor {
-        randn(n, self.config.latent_dim, rng)
-    }
 }
 
 #[cfg(test)]
@@ -448,6 +443,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use vaesa_nn::randn;
 
     fn model(dz: usize) -> VaesaModel {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
@@ -663,14 +659,6 @@ mod tests {
         let mut scratch = EdpGradBatch::default();
         let (v, g) = m.predicted_edp_grad_batch(&[], 0, &[0.5; 8], 1.0, 1.0, &mut scratch);
         assert!(v.is_empty() && g.is_empty());
-    }
-
-    #[test]
-    fn prior_samples_have_right_shape() {
-        let m = model(4);
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let z = m.sample_prior(10, &mut rng);
-        assert_eq!(z.shape(), (10, 4));
     }
 
     #[test]
